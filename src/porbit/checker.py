@@ -42,7 +42,7 @@ from .spectral import (
     row_space,
     subspace_equal,
 )
-from .systems import SystemBundle
+from .systems import SystemBundle, sphere_levels
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,10 @@ def check_theorem(
     k = bundle.k
     grads = [q.gradient(x0) for q in bundle.constraints]
     if k > 0:
-        g = np.vstack(grads)
-        s = np.linalg.svd(g, compute_uv=False)
-        smax = s[0] if s.size else 0.0
-        grad_rank = int(np.sum(s >= tol.kernel * smax)) if smax > 0.0 else 0
-        is_regular = grad_rank == k
-        grad_span = row_space(g, tol.kernel)
+        grad_span = row_space(np.vstack(grads), tol.kernel)
     else:
-        is_regular = True
         grad_span = SubspaceBasis(n, np.zeros((n, 0)))
+    is_regular = grad_span.dim == k
 
     jac = jacobian_exact(bundle.field, x0)
     ker = kernel(jac, tol.kernel)
@@ -170,11 +165,6 @@ def check_theorem(
         and grad_i_norm < tol.gradient
     )
 
-    levels = {q.name: q.value(x0) for q in bundle.constraints}
-    for alias, (base, factor) in bundle.level_aliases.items():
-        if base in levels:
-            levels[alias] = factor * levels[base]
-
     return HypothesisReport(
         equilibrium_residual=residual,
         is_regular_value=is_regular,
@@ -191,5 +181,5 @@ def check_theorem(
         expected_family_count=family_count,
         family_count_floored=floored,
         verdict=verdict,
-        constraint_levels=levels,
+        constraint_levels=sphere_levels(bundle, x0),
     )

@@ -144,7 +144,12 @@ def cmd_check(args) -> int:
     return 0 if report.verdict else MATH_NEGATIVE
 
 
-def cmd_find_orbit(args) -> int:
+def _orbit_setup(args):
+    """Shared start of ``find-orbit`` and ``continue``.
+
+    Returns (out, bundle, x0, settings, epsilons, selected omegas), or None
+    after reporting unsatisfied hypotheses on stderr.
+    """
     cfg = _load_config(args.config)
     out = _ensure_out(args)
     bundle = bundle_from_config(cfg)
@@ -156,11 +161,19 @@ def cmd_find_orbit(args) -> int:
     if not args.skip_check and not report.verdict:
         sys.stderr.write("hypotheses not satisfied at this equilibrium:\n")
         sys.stderr.write(report.to_json() + "\n")
-        return MATH_NEGATIVE
+        return None
 
     index = args.omega_index if args.omega_index is not None else cfg.get("omega_index")
+    return out, bundle, x0, settings, epsilons, _select_omegas(report.omegas, index)
+
+
+def cmd_find_orbit(args) -> int:
+    setup = _orbit_setup(args)
+    if setup is None:
+        return MATH_NEGATIVE
+    out, bundle, x0, settings, epsilons, selected = setup
     records = []
-    for idx, omega in _select_omegas(report.omegas, index):
+    for idx, omega in selected:
         problem = orbit_problem(bundle, x0, omega, epsilons[0], settings)
         for eps in epsilons:
             orbit = solve_orbit(replace(problem, epsilon=eps))
@@ -196,23 +209,13 @@ def _family_csv(family, path: str, constraint_names) -> None:
 
 
 def cmd_continue(args) -> int:
-    cfg = _load_config(args.config)
-    out = _ensure_out(args)
-    bundle = bundle_from_config(cfg)
-    x0 = _resolve_equilibrium(bundle, cfg)
-    settings = _solver_settings(cfg, args)
-    epsilons = _epsilons(cfg)
-
-    report = check_theorem(bundle, x0)
-    if not args.skip_check and not report.verdict:
-        sys.stderr.write("hypotheses not satisfied at this equilibrium:\n")
-        sys.stderr.write(report.to_json() + "\n")
+    setup = _orbit_setup(args)
+    if setup is None:
         return MATH_NEGATIVE
-
-    index = args.omega_index if args.omega_index is not None else cfg.get("omega_index")
+    out, bundle, x0, settings, epsilons, selected = setup
     names = [q.name for q in bundle.constraints]
     families = []
-    for idx, omega in _select_omegas(report.omegas, index):
+    for idx, omega in selected:
         problem = orbit_problem(bundle, x0, omega, epsilons[-1], settings)
         family = continue_family(problem, epsilons)
         families.append({"omega_index": idx, **family.to_dict()})

@@ -84,17 +84,22 @@ class Trajectory:
 
     def to_csv(self, target):
         """Write ``t,x1,...,xn`` rows; ``target`` is a path or a file object."""
-        n = self.states.shape[1]
-        header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-        lines = [header]
-        for t, row in zip(self.times, self.states):
-            lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-        text = "\n".join(lines) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w") as fh:
-                fh.write(text)
+        write_states_csv(self.times, self.states, target)
+
+
+def write_states_csv(times, states, target):
+    """Write ``t,x1,...,xn`` rows; ``target`` is a path or a file object."""
+    n = states.shape[1]
+    header = "t," + ",".join(f"x{i + 1}" for i in range(n))
+    lines = [header]
+    for t, row in zip(times, states):
+        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
+    text = "\n".join(lines) + "\n"
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w") as fh:
+            fh.write(text)
 
 
 def _initial_step(rhs, y0, f0, settings: ToleranceSettings) -> float:
@@ -172,11 +177,6 @@ def _advance(rhs, y0, t_end, settings: ToleranceSettings, collect: bool):
     return y, stats
 
 
-def _directional_rhs(field: PolynomialVectorField, t_sign: float):
-    f = field.compiled() if t_sign > 0 else field.negated().compiled()
-    return f
-
-
 def integrate(
     field: PolynomialVectorField,
     x0,
@@ -204,7 +204,7 @@ def flow(
     x = np.asarray(x, dtype=float)
     if T == 0.0:
         return x.copy()
-    rhs = _directional_rhs(field, T)
+    rhs = (field if T > 0 else field.negated()).compiled()
     y, _ = _advance(rhs, x, abs(float(T)), settings, collect=False)
     return y
 

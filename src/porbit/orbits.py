@@ -1,12 +1,12 @@
 """Periodic orbits on prescribed level sets via constrained shooting.
 
-Orbits are found in the ambient space: the unknowns are a point x and a
-period T, and the residual stacks the closure defect of the time-T flow,
-the constraint offsets C_i(x) - C_i(x0), the integral offset
-I(x) - I(x0) - eps^2, and a phase condition anchored at the seed point.
-This reproduces the restriction of the dynamics to the joint constraint
-level set without building local coordinates; the resulting consistent
-overdetermined least-squares step is solved by a truncated SVD.
+Orbits are found in the ambient space by multiple shooting with m segments
+(one, then two as a fallback): the unknowns are a point x, the m - 1 interior
+segment points and the period T, and the residual stacks the gaps between
+segments, the constraint offsets C_i(x) - C_i(x0), the integral offset
+I(x) - I(x0) - eps^2, and a phase condition anchored at the seed point. No
+local coordinates on the level set are built; the consistent overdetermined
+least-squares step is solved by a truncated SVD.
 
 Seeding comes from the linearization: the guess sits in the oscillation
 plane of the chosen +/- i omega pair, scaled so the integral offset is
@@ -26,7 +26,7 @@ import numpy as np
 
 from .calculus import gradient_exact, hessian_exact, jacobian_exact
 from .errors import EigenplaneDegenerate, IntegrationError, OrbitSolveError
-from .integrators import ToleranceSettings, flow, flow_with_monodromy
+from .integrators import ToleranceSettings, flow, flow_with_monodromy, write_states_csv
 from .spectral import eigen, imaginary_pairs, oscillation_plane
 from .systems import SystemBundle
 
@@ -233,17 +233,15 @@ def solve_orbit(
     else:
         x = np.array(x_init, dtype=float)
     T = float(t0 if T_init is None else T_init)
-    try:
-        return _solve_single(problem, x, T, t0)
-    except IntegrationError as exc:
-        raise OrbitSolveError(f"integration failed during shooting: {exc}") from exc
-    except OrbitSolveError:
-        if not problem.settings.two_segment_fallback:
-            raise
+    segment_counts = (1, 2) if problem.settings.two_segment_fallback else (1,)
+    for m in segment_counts:
         try:
-            return _solve_two_segment(problem, x, T, t0)
+            return _shoot(problem, x, T, t0, m)
         except IntegrationError as exc:
             raise OrbitSolveError(f"integration failed during shooting: {exc}") from exc
+        except OrbitSolveError:
+            if m == segment_counts[-1]:
+                raise
 
 
 def _orbit_record(problem, x, T, closure_vec, monodromy_matrix, iterations, fallback=False):
@@ -275,114 +273,69 @@ def _guard_period(T: float, t0: float, last_residual: float):
         )
 
 
-def _solve_single(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
+def _shoot(problem: OrbitProblem, x, T, t0, m: int) -> PeriodicOrbit:
+    """Gauss-Newton shooting with m segments of duration T / m.
+
+    Segment j carries x_j (x_0 = x) onto x_{(j+1) mod m}; the interior
+    points start on the flow from x.
+    """
     bundle = problem.bundle
     settings = problem.settings
     f = bundle.field.compiled()
     n = bundle.dimension
     c_targets, i_target = _constraint_data(problem)
+    k = len(c_targets)
     phase_anchor = x.copy()
     phase_dir = f(phase_anchor)
+    points = [x] + [flow(bundle.field, x, j * T / m, settings.ode) for j in range(1, m)]
     watch = _LevelSetWatch()
     last = math.inf
 
     for iteration in range(settings.max_iter + 1):
-        x_end, mono = flow_with_monodromy(bundle.field, x, T, settings.ode)
-        closure = x_end - x
+        x = points[0]
+        segments = [flow_with_monodromy(bundle.field, p, T / m, settings.ode) for p in points]
+        gaps = [end - points[(j + 1) % m] for j, (end, _) in enumerate(segments)]
         c_res = np.array(
             [q.value(x) - target for q, target in zip(bundle.constraints, c_targets)]
         )
         i_res = bundle.integral.value(x) - i_target
         phase = float(phase_dir @ (x - phase_anchor))
-        residual = np.concatenate((closure, c_res, [i_res], [phase]))
+        residual = np.concatenate((*gaps, c_res, [i_res], [phase]))
         last = float(np.max(np.abs(residual)))
         if last < settings.tol_orbit:
-            return _orbit_record(problem, x, T, closure, mono, iteration)
+            mono = segments[0][1]
+            for _, mono_j in segments[1:]:
+                mono = mono_j @ mono
+            # a gap of m > 1 segments is not the closure of the full-period flow
+            closure = gaps[0] if m == 1 else flow(bundle.field, x, T, settings.ode) - x
+            return _orbit_record(problem, x, T, closure, mono, iteration, fallback=m > 1)
         if iteration == settings.max_iter:
             break
         watch.update(max(np.max(np.abs(c_res), initial=0.0), abs(i_res)))
 
-        jac = np.zeros((n + len(c_targets) + 2, n + 1))
-        jac[:n, :n] = mono - np.eye(n)
-        jac[:n, n] = f(x_end)
+        jac = np.zeros((m * n + k + 2, m * n + 1))
+        for j, (end, mono_j) in enumerate(segments):
+            rows = slice(j * n, (j + 1) * n)
+            nxt = (j + 1) % m
+            jac[rows, rows] = mono_j
+            jac[rows, nxt * n : (nxt + 1) * n] -= np.eye(n)
+            jac[rows, m * n] = f(end) / m
         for i, q in enumerate(bundle.constraints):
-            jac[n + i, :n] = q.gradient(x)
-        jac[n + len(c_targets), :n] = gradient_exact(bundle.integral, x)
-        jac[n + len(c_targets) + 1, :n] = phase_dir
+            jac[m * n + i, :n] = q.gradient(x)
+        jac[m * n + k, :n] = gradient_exact(bundle.integral, x)
+        jac[m * n + k + 1, :n] = phase_dir
 
         step = _svd_step(jac, residual, settings.svd_cutoff)
-        x = x + step[:n]
-        T = T + step[n]
-        if not np.all(np.isfinite(x)):
+        points = [p + step[j * n : (j + 1) * n] for j, p in enumerate(points)]
+        T = T + step[m * n]
+        if not all(np.all(np.isfinite(p)) for p in points):
             raise OrbitSolveError("iterate became non-finite", last_residual=last)
         _guard_period(T, t0, last)
 
+    fallback_note = "two-segment fallback, " if m == 2 else ""
     raise OrbitSolveError(
         f"no convergence after {settings.max_iter} iterations "
-        f"(last residual {last:.3e})",
-        last_residual=last,
-    )
-
-
-def _solve_two_segment(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
-    """Two shooting segments; unknowns (x, midpoint, T)."""
-    bundle = problem.bundle
-    settings = problem.settings
-    f = bundle.field.compiled()
-    n = bundle.dimension
-    c_targets, i_target = _constraint_data(problem)
-    phase_anchor = x.copy()
-    phase_dir = f(phase_anchor)
-    mid = flow(bundle.field, x, 0.5 * T, settings.ode)
-    watch = _LevelSetWatch()
-    last = math.inf
-
-    for iteration in range(settings.max_iter + 1):
-        half = 0.5 * T
-        x_half, m1 = flow_with_monodromy(bundle.field, x, half, settings.ode)
-        x_full, m2 = flow_with_monodromy(bundle.field, mid, half, settings.ode)
-        seg1 = x_half - mid
-        seg2 = x_full - x
-        c_res = np.array(
-            [q.value(x) - target for q, target in zip(bundle.constraints, c_targets)]
-        )
-        i_res = bundle.integral.value(x) - i_target
-        phase = float(phase_dir @ (x - phase_anchor))
-        residual = np.concatenate((seg1, seg2, c_res, [i_res], [phase]))
-        last = float(np.max(np.abs(residual)))
-        if last < settings.tol_orbit:
-            closure = flow(bundle.field, x, T, settings.ode) - x
-            return _orbit_record(
-                problem, x, T, closure, m2 @ m1, iteration, fallback=True
-            )
-        if iteration == settings.max_iter:
-            break
-        watch.update(max(np.max(np.abs(c_res), initial=0.0), abs(i_res)))
-
-        k = len(c_targets)
-        jac = np.zeros((2 * n + k + 2, 2 * n + 1))
-        jac[:n, :n] = m1
-        jac[:n, n : 2 * n] = -np.eye(n)
-        jac[:n, 2 * n] = 0.5 * f(x_half)
-        jac[n : 2 * n, :n] = -np.eye(n)
-        jac[n : 2 * n, n : 2 * n] = m2
-        jac[n : 2 * n, 2 * n] = 0.5 * f(x_full)
-        for i, q in enumerate(bundle.constraints):
-            jac[2 * n + i, :n] = q.gradient(x)
-        jac[2 * n + k, :n] = gradient_exact(bundle.integral, x)
-        jac[2 * n + k + 1, :n] = phase_dir
-
-        step = _svd_step(jac, residual, settings.svd_cutoff)
-        x = x + step[:n]
-        mid = mid + step[n : 2 * n]
-        T = T + step[2 * n]
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mid))):
-            raise OrbitSolveError("iterate became non-finite", last_residual=last)
-        _guard_period(T, t0, last)
-
-    raise OrbitSolveError(
-        f"no convergence after {settings.max_iter} iterations "
-        f"(two-segment fallback, last residual {last:.3e})",
+        f"({fallback_note}last residual {last:.3e})",
         last_residual=last,
     )
 
@@ -462,14 +415,4 @@ def sample_orbit(
 
 def orbit_samples_csv(bundle, orbit, target, n_samples: int = 64, settings=None):
     """Write sampled orbit states as ``t,x1,...,xn`` rows."""
-    times, states = sample_orbit(bundle, orbit, n_samples, settings)
-    n = states.shape[1]
-    lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
-    for t, row in zip(times, states):
-        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as fh:
-            fh.write(text)
+    write_states_csv(*sample_orbit(bundle, orbit, n_samples, settings), target)

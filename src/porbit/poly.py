@@ -268,7 +268,7 @@ class PolynomialVectorField:
     def compiled(self):
         """Function x -> ndarray(n) generated from the term lists."""
         if self._f is None:
-            self._f = self._build_vector_fn([_poly_expr(p) for p in self.components])
+            self._f = self._generate([_poly_expr(p) for p in self.components], "field")
         return self._f
 
     def compiled_jacobian(self):
@@ -278,31 +278,16 @@ class PolynomialVectorField:
                 "[" + ", ".join(_poly_expr(p) for p in row) + "]"
                 for row in self.jacobian_polys()
             ]
-            self._jac = self._build_matrix_fn(rows)
+            self._jac = self._generate(rows, "jacobian")
         return self._jac
 
-    def _unpack_lines(self) -> str:
-        return "\n".join(f"    x{i} = x[{i}]" for i in range(self.dimension))
-
-    def _build_vector_fn(self, exprs):
-        src = (
-            "def _f(x):\n"
-            f"{self._unpack_lines()}\n"
-            f"    return _np.array([{', '.join(exprs)}])\n"
-        )
+    def _generate(self, items, label: str):
+        """Compile x -> np.array([items]) with x unpacked into x0, x1, ..."""
+        unpack = "\n".join(f"    x{i} = x[{i}]" for i in range(self.dimension))
+        src = f"def _fn(x):\n{unpack}\n    return _np.array([{', '.join(items)}])\n"
         ns = {"_np": np}
-        exec(compile(src, "<porbit-field>", "exec"), ns)
-        return ns["_f"]
-
-    def _build_matrix_fn(self, row_exprs):
-        src = (
-            "def _j(x):\n"
-            f"{self._unpack_lines()}\n"
-            f"    return _np.array([{', '.join(row_exprs)}])\n"
-        )
-        ns = {"_np": np}
-        exec(compile(src, "<porbit-jacobian>", "exec"), ns)
-        return ns["_j"]
+        exec(compile(src, f"<porbit-{label}>", "exec"), ns)
+        return ns["_fn"]
 
     def to_json(self) -> dict:
         return {

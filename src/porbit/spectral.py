@@ -52,6 +52,18 @@ def eigen(matrix, zero_tolerance: float = IMAGINARY_TOL) -> EigenData:
     return EigenData(values, zero_tolerance)
 
 
+def _rank_and_vh(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """Numerical rank and right singular vectors (as rows) from one full SVD.
+
+    Singular values at or above ``tol`` times the largest count toward the
+    rank; a zero matrix has rank 0.
+    """
+    _, s, vh = np.linalg.svd(a)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s >= tol * smax)) if smax > 0.0 else 0
+    return rank, vh
+
+
 def kernel(matrix, tol: float = KERNEL_TOL) -> SubspaceBasis:
     """Orthonormal basis of the numerical null space.
 
@@ -63,24 +75,17 @@ def kernel(matrix, tol: float = KERNEL_TOL) -> SubspaceBasis:
         raise ValueError("kernel tolerance must be positive")
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     n = a.shape[1]
-    _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
+    rank, vh = _rank_and_vh(a, tol)
+    if rank == 0:
         return SubspaceBasis(n, np.eye(n))
-    rank = int(np.sum(s >= tol * smax))
     return SubspaceBasis(n, vh[rank:].T.copy())
 
 
 def row_space(matrix, tol: float = KERNEL_TOL) -> SubspaceBasis:
     """Orthonormal basis of the span of the rows."""
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n = a.shape[1]
-    _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return SubspaceBasis(n, np.zeros((n, 0)))
-    rank = int(np.sum(s >= tol * smax))
-    return SubspaceBasis(n, vh[:rank].T.copy())
+    rank, vh = _rank_and_vh(a, tol)
+    return SubspaceBasis(a.shape[1], vh[:rank].T.copy())
 
 
 def largest_principal_angle(a: SubspaceBasis, b: SubspaceBasis) -> float:
@@ -143,13 +148,10 @@ def restricted_hessian(hess, constraint_grads, tol: float = KERNEL_TOL) -> np.nd
     grads = [np.asarray(g, dtype=float) for g in constraint_grads]
     if not grads:
         return 0.5 * (h + h.T)
-    g = np.vstack(grads)
-    s = np.linalg.svd(g, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s >= tol * smax)) if smax > 0.0 else 0
+    rank, vh = _rank_and_vh(np.vstack(grads), tol)
     if rank < len(grads):
         raise DependentConstraints("constraint gradients dependent")
-    basis = kernel(g, tol).vectors
+    basis = vh[rank:].T.copy()
     r = basis.T @ h @ basis
     return 0.5 * (r + r.T)
 

@@ -261,6 +261,10 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, capsys):
         capsys, "verify-realization", "--config", cfg, "--samples", "50", "--seed", "7"
     )
     assert first == second
+    ladder = write_config(tmp_path, name="ladder.json", epsilons=[0.05, 0.1])
+    _, first, _ = run(capsys, "continue", "--config", ladder)
+    _, second, _ = run(capsys, "continue", "--config", ladder)
+    assert first == second
 
 
 def test_inline_round_trip_matches_builtin_report(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,3 +237,18 @@ def test_orbit_serialization_round_trip(rigid_family):
     assert len(record["floquet_multipliers"]) == 3
     assert all(len(pair) == 2 for pair in record["floquet_multipliers"])
     assert record["constraint_residuals"]["C_alpha"] == orbit.constraint_residuals["C_alpha"]
+
+
+def test_two_segment_fallback_recovers_a_collapsed_single_segment_solve(clebsch_bundle):
+    # a slow-family seed high on the ladder, where single shooting lets the
+    # period run negative and the m = 2 retry converges
+    M = 1.0290929531478712
+    x0 = clebsch_bundle.equilibrium("e1", M)
+    omega = pb.check_theorem(clebsch_bundle, x0).omegas[1]
+    single_only = pb.SolverSettings(two_segment_fallback=False)
+    problem = pb.orbit_problem(clebsch_bundle, x0, omega, 0.65 * M, single_only)
+    with pytest.raises(pb.OrbitSolveError, match="period collapsed"):
+        pb.solve_orbit(problem)
+    orbit = pb.solve_orbit(replace(problem, settings=pb.SolverSettings()))
+    assert orbit.used_fallback
+    assert orbit.period * M == pytest.approx(9.495549558361105, rel=1e-8)
