@@ -8,11 +8,8 @@ orbits by constrained shooting with continuation in the level offset.
 
 from .calculus import (
     gradient_exact,
-    gradient_fd,
     hessian_exact,
-    hessian_fd,
     jacobian_exact,
-    jacobian_fd,
 )
 from .checker import CheckTolerances, HypothesisReport, check_theorem
 from .errors import (
@@ -36,7 +33,6 @@ from .integrators import (
     flow_with_monodromy,
     integrate,
     monodromy,
-    rk4_fixed,
 )
 from .orbits import (
     OrbitFamily,
@@ -120,15 +116,12 @@ __all__ = [
     "flow",
     "flow_with_monodromy",
     "gradient_exact",
-    "gradient_fd",
     "hessian_exact",
-    "hessian_fd",
     "imaginary_pairs",
     "initial_guess",
     "integrate",
     "is_positive_definite",
     "jacobian_exact",
-    "jacobian_fd",
     "kernel",
     "lie_derivative",
     "monodromy",
@@ -136,7 +129,6 @@ __all__ = [
     "oscillation_plane",
     "poisson_tensor",
     "restricted_hessian",
-    "rk4_fixed",
     "sample_orbit",
     "solve_orbit",
     "subspace_equal",

@@ -1,8 +1,7 @@
-"""Exact derivatives of polynomial data and finite-difference cross-checks.
+"""Exact derivatives of polynomial data.
 
-The exact routines differentiate the monomial representation term-wise and
-evaluate; the ``*_fd`` routines use central differences on plain evaluations
-and exist purely as independent oracles for testing the exact path.
+The routines differentiate the monomial representation term-wise and
+evaluate, so no finite-difference error enters the numerics.
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .poly import Polynomial, PolynomialVectorField
-
-DEFAULT_FD_STEP = 1e-5
 
 
 def _poly_of(q) -> Polynomial:
@@ -25,37 +22,10 @@ def jacobian_exact(field: PolynomialVectorField, x) -> np.ndarray:
     return field.compiled_jacobian()(x)
 
 
-def jacobian_fd(field: PolynomialVectorField, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian, one column per coordinate."""
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
-    x = np.asarray(x, dtype=float)
-    f = field.compiled()
-    n = field.dimension
-    cols = []
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        cols.append((f(x + step) - f(x - step)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
 def gradient_exact(q, x) -> np.ndarray:
     p = _poly_of(q)
     x = np.asarray(x, dtype=float)
     return np.array([g.evaluate(x) for g in p.gradient_polys()])
-
-
-def gradient_fd(q, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    p = _poly_of(q)
-    x = np.asarray(x, dtype=float)
-    n = p.dimension
-    out = np.empty(n)
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = h
-        out[i] = (p.evaluate(x + step) - p.evaluate(x - step)) / (2.0 * h)
-    return out
 
 
 def hessian_exact(q, x) -> np.ndarray:
@@ -72,26 +42,3 @@ def hessian_exact(q, x) -> np.ndarray:
             hess[i, j] = v
             hess[j, i] = v
     return hess
-
-
-def hessian_fd(q, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Second-order central differences on scalar evaluations only."""
-    p = _poly_of(q)
-    x = np.asarray(x, dtype=float)
-    n = p.dimension
-    out = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        for j in range(i, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            v = (
-                p.evaluate(x + ei + ej)
-                - p.evaluate(x + ei - ej)
-                - p.evaluate(x - ei + ej)
-                + p.evaluate(x - ei - ej)
-            ) / (4.0 * h * h)
-            out[i, j] = v
-            out[j, i] = v
-    return out

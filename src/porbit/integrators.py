@@ -1,12 +1,17 @@
 """Adaptive trajectory integration, flow maps, and variational equations.
 
-The workhorse is an embedded Dormand-Prince 5(4) pair with a PI step-size
-controller (safety 0.9, exponents 0.7 and 0.4 over the order). The systems
-here are small and non-stiff, so no implicit or symplectic machinery is
-provided; conservation is monitored by :func:`drift_report` at tight
-tolerances instead. Negative-time integration negates the field, keeping a
-single forward-time code path. A fixed-step classical RK4 is included for
-debugging.
+Trajectories and flow maps (:func:`integrate`, :func:`flow`) use an embedded
+Dormand-Prince 5(4) pair with a PI step-size controller (safety 0.9,
+exponents 0.7 and 0.4 over the order). The shooting hot path,
+:func:`flow_with_monodromy` and so :func:`monodromy`, integrates the state and
+its fundamental matrix by Taylor series instead: the fields are polynomial,
+so Cauchy products give the Taylor coefficients of both exactly (jet
+transport; Jorba and Zou, Exp. Math. 14 (2005) 99-117), and one high-order
+step spans a sizeable fraction of a period. The systems here are small and
+non-stiff, so no implicit or symplectic machinery is provided; conservation
+is monitored by :func:`drift_report` at tight tolerances instead. Negative
+time negates the right-hand side (DP5) or the coefficient arrays (Taylor),
+keeping a single forward-time code path in each.
 """
 
 from __future__ import annotations
@@ -44,7 +49,18 @@ _MIN_SHRINK = 0.2
 
 @dataclass(frozen=True)
 class ToleranceSettings:
-    """Error control for the adaptive integrator."""
+    """Error control for both integrators.
+
+    DP5 (:func:`integrate`, :func:`flow`): ``abs_tol`` and ``rel_tol`` bound
+    each step's local error estimate, ``h_init`` is the first step (None
+    picks one from the data), ``h_min`` and ``h_max`` bound the step, and
+    ``max_steps`` counts accepted plus rejected steps.
+
+    Taylor (:func:`flow_with_monodromy`): ``abs_tol`` and ``rel_tol`` bound
+    the local Taylor error and set the order, ``h_min``, ``h_max`` and
+    ``max_steps`` bound the steps in the same way, and ``h_init`` has no
+    effect.
+    """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
@@ -204,23 +220,106 @@ def flow(
     x = np.asarray(x, dtype=float)
     if T == 0.0:
         return x.copy()
-    rhs = (field if T > 0 else field.negated()).compiled()
+    f = field.compiled()
+    rhs = f if T > 0 else lambda y: -f(y)
     y, _ = _advance(rhs, x, abs(float(T)), settings, collect=False)
     return y
 
 
-def _variational_rhs(field: PolynomialVectorField, negate: bool):
-    base = field.negated() if negate else field
-    f = base.compiled()
-    jac = base.compiled_jacobian()
-    n = field.dimension
+def _taylor_order(settings: ToleranceSettings) -> int:
+    """Taylor order ceil(-ln(tol)) for the tighter tolerance.
 
-    def rhs(y):
-        x = y[:n]
-        m = y[n:].reshape(n, n)
-        return np.concatenate((f(x), (jac(x) @ m).ravel()))
+    Jorba and Zou take ceil(1 - ln(tol) / 2), which minimises the work per
+    unit time when a step of order p costs O(p^2). Here each coefficient
+    costs a fixed handful of numpy calls, so a step costs O(p), and
+    p * tol**(-1/p) is smallest at p = -ln(tol).
+    """
+    return max(2, math.ceil(-math.log(min(settings.abs_tol, settings.rel_tol))))
 
-    return rhs
+
+def _jets(arrays, x, p: int):
+    """Taylor coefficients up to t**p of the flow and its fundamental matrix.
+
+    Returns ``X`` with ``x(t) = sum_k X[k] t**k`` and ``R`` with
+    ``Phi(t) = sum_k R[p - k] t**k``, where dPhi/dt = J(x(t)) Phi and
+    Phi(0) = I. The degree-d term of the field takes one Cauchy product of
+    the series of the (d-1)-fold tensor power of x with X, then one
+    contraction with its coefficient array; the Jacobian series reuses the
+    same tensor-power series.
+    """
+    n = x.size
+    top = len(arrays) - 1
+    flat = [a.reshape(n, -1) for a in arrays]
+    X = np.zeros((p + 1, n))
+    X[0] = x
+    powers = [None, X] + [np.zeros((p, n**e)) for e in range(2, top)]
+    for k in range(p):
+        term = flat[1] @ X[k]
+        if k == 0:
+            term += arrays[0]
+        for d in range(2, top + 1):
+            product = (powers[d - 1][: k + 1].T @ X[k::-1]).ravel()
+            if d < top:
+                powers[d][k] = product
+            term += flat[d] @ product
+        X[k + 1] = term / (k + 1)
+
+    # J(x) = sum_d d T_d(x, ..., x, .), so J_m = sum_d d T_d . powers[d - 1][m]
+    jac = np.zeros((n * n, p))
+    for d in range(2, top + 1):
+        jac += d * arrays[d].reshape(n * n, -1) @ powers[d - 1][:p].T
+    jac = np.ascontiguousarray(jac.reshape(n, n, p).transpose(0, 2, 1))
+    jac[:, 0] += arrays[1]
+    jac = jac.reshape(n, p * n)  # J_0 | J_1 | ... | J_{p-1}
+    R = np.zeros((p + 1, n, n))  # reversed, so Phi_k, ..., Phi_0 is one slice
+    R[p] = np.eye(n)
+    rows = R.reshape(-1, n)
+    for k in range(p):
+        R[p - k - 1] = (jac[:, : (k + 1) * n] @ rows[(p - k) * n :]) / (k + 1)
+    return X, R
+
+
+def _taylor_advance(arrays, x, t_end: float, settings: ToleranceSettings):
+    """Flow and fundamental matrix from 0 to t_end > 0 by Taylor steps.
+
+    The step is Jorba and Zou's: the smallest radius (tol / |c_j|)**(1/j)
+    over the last two coefficients c_j of both series, shrunk by
+    exp(-0.7 / (p - 1)). Taylor steps are never rejected. The state and the
+    step's fundamental matrix are summed by Horner's rule, and the matrices
+    are composed step by step.
+    """
+    n = x.size
+    p = _taylor_order(settings)
+    safety = math.exp(-0.7 / (p - 1))
+    exps = np.array([1.0 / (p - 1), 1.0 / p] * 2)
+    tol_m = settings.abs_tol + settings.rel_tol  # Phi starts at the identity
+    m = np.eye(n)
+    t = 0.0
+    steps = 0
+    # a blowup overflows the series first; the step checks below report it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while t < t_end:
+            if steps >= settings.max_steps:
+                raise IntegrationError(f"max steps exceeded ({settings.max_steps})")
+            X, R = _jets(arrays, x, p)
+            tol_x = settings.abs_tol + settings.rel_tol * float(np.max(np.abs(x)))
+            norms = np.concatenate((np.abs(X[p - 1 :]).max(axis=1), np.abs(R[1::-1]).max(axis=(1, 2))))
+            radius = float(np.min((np.array([tol_x, tol_x, tol_m, tol_m]) / norms) ** exps))
+            h = min(safety * radius, settings.h_max)
+            if not h >= settings.h_min:  # also catches a NaN radius
+                raise IntegrationError(f"step underflow: h = {h:.3e} at t = {t:.6g}")
+            h = min(h, t_end - t)
+            coeffs = np.concatenate((X, R[::-1].reshape(p + 1, -1)), axis=1)
+            y = coeffs[p]
+            for c in coeffs[p - 1 :: -1]:
+                y = y * h + c
+            t += h
+            steps += 1
+            x = y[:n]
+            m = y[n:].reshape(n, n) @ m
+            if not np.all(np.isfinite(y)):
+                raise IntegrationError(f"non-finite state at t = {t:.6g}")
+    return x, m
 
 
 def flow_with_monodromy(
@@ -231,18 +330,20 @@ def flow_with_monodromy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final state and fundamental matrix of the variational equation.
 
-    The base trajectory and dM/dt = J(x(t)) M are integrated as one
-    augmented system so both share the step-size control.
+    Both come from Taylor jets of the polynomial field (Jorba and Zou 2005):
+    ``abs_tol`` and ``rel_tol`` bound the local Taylor error, ``max_steps``,
+    ``h_min`` and ``h_max`` bound the steps, and ``h_init`` has no effect.
+    Negative T integrates with the negated coefficient arrays.
     """
     settings = settings or ToleranceSettings()
     x = np.asarray(x, dtype=float)
     n = field.dimension
     if T == 0.0:
         return x.copy(), np.eye(n)
-    rhs = _variational_rhs(field, negate=T < 0)
-    y0 = np.concatenate((x, np.eye(n).ravel()))
-    y, _ = _advance(rhs, y0, abs(float(T)), settings, collect=False)
-    return y[:n], y[n:].reshape(n, n)
+    arrays = field.coefficient_arrays()
+    if T < 0:
+        arrays = tuple(-a for a in arrays)
+    return _taylor_advance(arrays, x, abs(float(T)), settings)
 
 
 def monodromy(
@@ -254,28 +355,6 @@ def monodromy(
     """Fundamental matrix M(T) with M(0) = identity."""
     _, m = flow_with_monodromy(field, x, T, settings)
     return m
-
-
-def rk4_fixed(
-    field: PolynomialVectorField, x0, t_end: float, n_steps: int
-) -> Trajectory:
-    """Classical fixed-step RK4, for debugging comparisons only."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    f = field.compiled()
-    h = float(t_end) / n_steps
-    y = np.asarray(x0, dtype=float).copy()
-    ts = [0.0]
-    ys = [y.copy()]
-    for i in range(n_steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ts.append((i + 1) * h)
-        ys.append(y.copy())
-    return Trajectory(np.array(ts), np.array(ys), StepStats(n_steps, 0))
 
 
 def drift_report(trajectory: Trajectory, quantities) -> list[tuple[str, float]]:

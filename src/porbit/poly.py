@@ -4,14 +4,17 @@ Everything differentiable in this package (right-hand sides, conserved
 quantities, their gradients and Hessians) is polynomial, stored as
 ``(coefficient, exponent-tuple)`` terms. Differentiation is done term-wise on
 that representation, so derivative error never enters the numerics; finite
-differences exist only as an independent cross-check in :mod:`porbit.calculus`.
+differences exist only as an independent cross-check in the tests.
 
 For speed inside integration loops, fields compile themselves to plain Python
-functions built from the term list (`compiled`, `compiled_jacobian`).
+functions built from the term list (`compiled`, `compiled_jacobian`), and
+expose dense symmetric coefficient arrays, one per degree
+(`coefficient_arrays`), for the Taylor-series integrator.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -228,6 +231,7 @@ class PolynomialVectorField:
         self._f = None
         self._jac_polys = None
         self._jac = None
+        self._arrays = None
 
     @classmethod
     def from_terms(cls, dimension: int, term_lists) -> "PolynomialVectorField":
@@ -251,9 +255,6 @@ class PolynomialVectorField:
 
     def __call__(self, x) -> np.ndarray:
         return self.compiled()(np.asarray(x, dtype=float))
-
-    def negated(self) -> "PolynomialVectorField":
-        return PolynomialVectorField([-p for p in self.components])
 
     def jacobian_polys(self) -> tuple[tuple[Polynomial, ...], ...]:
         if self._jac_polys is None:
@@ -280,6 +281,29 @@ class PolynomialVectorField:
             ]
             self._jac = self._generate(rows, "jacobian")
         return self._jac
+
+    def coefficient_arrays(self) -> tuple[np.ndarray, ...]:
+        """Dense coefficients ``(c, A, B, ...)``, one array per degree.
+
+        Entry ``d`` has shape ``(n,) + (n,) * d`` and is symmetric in its last
+        ``d`` indices, so ``f_i(x) = sum_d T_d[i, j1..jd] x_j1 ... x_jd``. A
+        monomial's coefficient is split evenly over the distinct orderings of
+        its variable indices. Built once, on first use.
+        """
+        if self._arrays is None:
+            n = self.dimension
+            top = max(1, *(p.degree() for p in self.components))
+            arrays = [np.zeros((n,) + (n,) * d) for d in range(top + 1)]
+            for i, p in enumerate(self.components):
+                for c, e in p.terms:
+                    indices = [j for j, k in enumerate(e) for _ in range(k)]
+                    orderings = set(itertools.permutations(indices))
+                    for index in orderings:
+                        arrays[len(indices)][(i,) + index] = c / len(orderings)
+            for a in arrays:
+                a.flags.writeable = False
+            self._arrays = tuple(arrays)
+        return self._arrays
 
     def _generate(self, items, label: str):
         """Compile x -> np.array([items]) with x unpacked into x0, x1, ..."""

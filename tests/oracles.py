@@ -1,0 +1,102 @@
+"""Independent oracles that the tests compare porbit's exact paths against.
+
+Central finite differences on plain evaluations cross-check the exact
+Jacobians, gradients and Hessians; fixed-step classical RK4 cross-checks the
+adaptive integrator, and DP5 on the augmented variational system
+cross-checks the Taylor monodromy.
+"""
+
+import numpy as np
+
+from porbit import StepStats, ToleranceSettings, Trajectory
+from porbit.integrators import _advance
+from porbit.poly import PolynomialVectorField
+
+DEFAULT_FD_STEP = 1e-5
+
+
+def _poly_of(q):
+    # accepts a ConservedQuantity or a bare Polynomial
+    return getattr(q, "polynomial", q)
+
+
+def jacobian_fd(field: PolynomialVectorField, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central-difference Jacobian, one column per coordinate."""
+    if h <= 0:
+        raise ValueError("finite-difference step must be positive")
+    x = np.asarray(x, dtype=float)
+    f = field.compiled()
+    n = field.dimension
+    cols = []
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = h
+        cols.append((f(x + step) - f(x - step)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def gradient_fd(q, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    p = _poly_of(q)
+    x = np.asarray(x, dtype=float)
+    n = p.dimension
+    out = np.empty(n)
+    for i in range(n):
+        step = np.zeros(n)
+        step[i] = h
+        out[i] = (p.evaluate(x + step) - p.evaluate(x - step)) / (2.0 * h)
+    return out
+
+
+def hessian_fd(q, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Second-order central differences on scalar evaluations only."""
+    p = _poly_of(q)
+    x = np.asarray(x, dtype=float)
+    n = p.dimension
+    out = np.empty((n, n))
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        for j in range(i, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            v = (
+                p.evaluate(x + ei + ej)
+                - p.evaluate(x + ei - ej)
+                - p.evaluate(x - ei + ej)
+                + p.evaluate(x - ei - ej)
+            ) / (4.0 * h * h)
+            out[i, j] = v
+            out[j, i] = v
+    return out
+
+
+def rk4_fixed(field: PolynomialVectorField, x0, t_end: float, n_steps: int) -> Trajectory:
+    """Classical fixed-step RK4."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
+    f = field.compiled()
+    h = float(t_end) / n_steps
+    y = np.asarray(x0, dtype=float).copy()
+    ts = [0.0]
+    ys = [y.copy()]
+    for i in range(n_steps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ts.append((i + 1) * h)
+        ys.append(y.copy())
+    return Trajectory(np.array(ts), np.array(ys), StepStats(n_steps, 0))
+
+
+def dp5_monodromy(field: PolynomialVectorField, x, t_end: float, tol: float):
+    """Flow and fundamental matrix from DP5 on the augmented system."""
+    f, jac, n = field.compiled(), field.compiled_jacobian(), field.dimension
+
+    def rhs(y):
+        return np.concatenate((f(y[:n]), (jac(y[:n]) @ y[n:].reshape(n, n)).ravel()))
+
+    settings = ToleranceSettings(abs_tol=tol, rel_tol=tol)
+    y, _ = _advance(rhs, np.concatenate((x, np.eye(n).ravel())), t_end, settings, collect=False)
+    return y[:n], y[n:].reshape(n, n)

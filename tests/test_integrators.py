@@ -7,6 +7,8 @@ from scipy.linalg import expm
 import porbit as pb
 from porbit.poly import Polynomial, PolynomialVectorField
 
+from oracles import dp5_monodromy, rk4_fixed
+
 HARMONIC = PolynomialVectorField.linear([[0.0, 1.0], [-1.0, 0.0]])
 TWO_PI = 2.0 * np.pi
 
@@ -75,6 +77,53 @@ def test_monodromy_gradient_covariance(rigid_bundle, rigid_e1):
         assert np.max(np.abs(lhs - rhs)) < 1e-6, q.name
 
 
+# x' = y, y' = -x - x^3 conserves H = (x^2 + y^2) / 2 + x^4 / 4
+DUFFING = PolynomialVectorField.from_terms(2, [[(1.0, (0, 1))], [(-1.0, (1, 0)), (-1.0, (3, 0))]])
+DUFFING_H = Polynomial(2, [(0.5, (2, 0)), (0.5, (0, 2)), (0.25, (4, 0))])
+
+
+def test_taylor_monodromy_matches_tight_dp5_over_a_clebsch_period(clebsch_bundle, clebsch_e1):
+    problem = pb.orbit_problem(clebsch_bundle, clebsch_e1, np.sqrt(2.0), 0.2)
+    x, period = pb.initial_guess(problem)
+    x_ref, m_ref = dp5_monodromy(clebsch_bundle.field, x, period, 1e-14)
+    x_end, m = pb.flow_with_monodromy(clebsch_bundle.field, x, period)
+    assert np.max(np.abs(x_end - x_ref)) < 1e-12
+    assert np.max(np.abs(m - m_ref)) < 1e-10
+
+
+def test_cubic_field_monodromy_gradient_covariance():
+    x = np.array([0.9, -0.4])
+    x_end, m = pb.flow_with_monodromy(DUFFING, x, 7.3)
+    assert abs(DUFFING_H.evaluate(x_end) - DUFFING_H.evaluate(x)) < 1e-12
+    lhs = pb.gradient_exact(DUFFING_H, x_end) @ m
+    assert np.max(np.abs(lhs - pb.gradient_exact(DUFFING_H, x))) < 1e-9
+
+
+def test_reversed_monodromy_inverts_the_forward_one(rigid_bundle, rigid_e1):
+    x = rigid_e1 + np.array([0.0, 0.08, -0.03])
+    x_end, m_forward = pb.flow_with_monodromy(rigid_bundle.field, x, 3.7)
+    x_back, m_backward = pb.flow_with_monodromy(rigid_bundle.field, x_end, -3.7)
+    assert np.max(np.abs(x_back - x)) < 1e-11
+    assert np.max(np.abs(m_backward - np.linalg.inv(m_forward))) < 1e-9
+
+
+def test_flow_with_monodromy_raises_on_blowup_and_step_budget(rigid_bundle, rigid_e1):
+    field = PolynomialVectorField([Polynomial(1, [(1.0, (2,))])])
+    with pytest.raises(pb.IntegrationError):
+        pb.flow_with_monodromy(field, [1.0], 2.0)
+    x = rigid_e1 + np.array([0.0, 0.05, 0.0])
+    with pytest.raises(pb.IntegrationError, match="max steps"):
+        pb.flow_with_monodromy(rigid_bundle.field, x, TWO_PI, pb.ToleranceSettings(max_steps=1))
+
+
+def test_reversed_flow_equals_the_negated_field_flow(rigid_bundle, rigid_e1):
+    x = rigid_e1 + np.array([0.0, 0.05, 0.02])
+    negated = PolynomialVectorField([-p for p in rigid_bundle.field.components])
+    np.testing.assert_array_equal(
+        pb.flow(rigid_bundle.field, x, -2.3), pb.flow(negated, x, 2.3)
+    )
+
+
 def test_order_scaling_on_harmonic_oracle():
     def final_err(tol):
         settings = pb.ToleranceSettings(abs_tol=tol, rel_tol=tol)
@@ -136,7 +185,7 @@ def test_settings_validation():
 
 
 def test_rk4_debug_path_tracks_adaptive():
-    coarse = pb.rk4_fixed(HARMONIC, [1.0, 0.0], TWO_PI, 2000)
+    coarse = rk4_fixed(HARMONIC, [1.0, 0.0], TWO_PI, 2000)
     assert np.max(np.abs(coarse.states[-1] - [1.0, 0.0])) < 1e-9
     assert coarse.stats.accepted == 2000
 

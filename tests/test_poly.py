@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -125,6 +127,28 @@ def test_compiled_matches_evaluate(rigid_bundle):
         x = rng.uniform(-2, 2, size=3)
         direct = np.array([p.evaluate(x) for p in rigid_bundle.field.components])
         np.testing.assert_allclose(f(x), direct, rtol=1e-14, atol=1e-14)
+
+
+def test_coefficient_arrays_are_symmetric_and_reproduce_the_field():
+    rng = np.random.default_rng(13)
+    exps = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+    field = PolynomialVectorField(
+        [Polynomial(3, [(rng.uniform(-2, 2), e) for e in exps]) for _ in range(3)]
+    )
+    arrays = field.coefficient_arrays()
+    assert [a.shape for a in arrays] == [(3,) + (3,) * d for d in range(len(arrays))]
+    for a in arrays[2:]:
+        for axes in itertools.permutations(range(1, a.ndim)):
+            np.testing.assert_array_equal(a, a.transpose((0,) + axes))
+    for _ in range(10):
+        x = rng.uniform(-1, 1, size=3)
+        total = np.zeros(3)
+        for a in arrays:
+            term = a
+            for _ in range(a.ndim - 1):
+                term = term @ x
+            total += term
+        np.testing.assert_allclose(total, field(x), rtol=1e-13, atol=1e-13)
 
 
 def test_evaluate_many_matches_scalar():
