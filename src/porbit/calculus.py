@@ -1,14 +1,16 @@
 """Exact derivatives of polynomial data.
 
-The routines differentiate the monomial representation term-wise and
-evaluate, so no finite-difference error enters the numerics.
+Each routine contracts the dense symmetric coefficient arrays of the
+polynomial data with x (:func:`porbit.poly.derivative_at`), so no
+finite-difference error enters the numerics and nothing is generated or
+differentiated per call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .poly import Polynomial, PolynomialVectorField
+from .poly import Polynomial, PolynomialVectorField, derivative_at
 
 
 def _poly_of(q) -> Polynomial:
@@ -17,28 +19,16 @@ def _poly_of(q) -> Polynomial:
 
 
 def jacobian_exact(field: PolynomialVectorField, x) -> np.ndarray:
-    """n x n Jacobian of the field at x, from term-wise differentiation."""
-    x = np.asarray(x, dtype=float)
-    return field.compiled_jacobian()(x)
+    """n x n Jacobian of the field at x."""
+    return derivative_at(field.coefficient_arrays(), x, 1)
 
 
 def gradient_exact(q, x) -> np.ndarray:
-    p = _poly_of(q)
-    x = np.asarray(x, dtype=float)
-    return np.array([g.evaluate(x) for g in p.gradient_polys()])
+    return derivative_at(_poly_of(q).coefficient_arrays(), x, 1)
 
 
 def hessian_exact(q, x) -> np.ndarray:
-    """Exact Hessian at x. Mixed entries are computed once and mirrored, so
-    the result is symmetric to the bit."""
-    p = _poly_of(q)
-    x = np.asarray(x, dtype=float)
-    n = p.dimension
-    grads = p.gradient_polys()
-    hess = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = grads[i].differentiate(j).evaluate(x)
-            hess[i, j] = v
-            hess[j, i] = v
-    return hess
+    """Exact Hessian at x, symmetric to the bit: it is averaged with its
+    transpose, which leaves the entries of a symmetric contraction as they are."""
+    hess = derivative_at(_poly_of(q).coefficient_arrays(), x, 2)
+    return 0.5 * (hess + hess.T)

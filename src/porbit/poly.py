@@ -2,19 +2,25 @@
 
 Everything differentiable in this package (right-hand sides, conserved
 quantities, their gradients and Hessians) is polynomial, stored as
-``(coefficient, exponent-tuple)`` terms. Differentiation is done term-wise on
-that representation, so derivative error never enters the numerics; finite
-differences exist only as an independent cross-check in the tests.
+``(coefficient, exponent-tuple)`` terms. Each polynomial also builds, on
+first use, dense coefficient arrays, one per degree and symmetric in their
+indices (`coefficient_arrays`); a field stacks those of its components.
+Field values, gradients, Hessians and Jacobians are contractions of these
+arrays with x (`derivative_at`), so derivative error never enters the
+numerics and no code is generated per call; finite differences exist only as
+an independent cross-check in the tests. The Taylor-series integrator reads
+the same field arrays.
 
-For speed inside integration loops, fields compile themselves to plain Python
-functions built from the term list (`compiled`, `compiled_jacobian`), and
-expose dense symmetric coefficient arrays, one per degree
-(`coefficient_arrays`), for the Taylor-series integrator.
+Only the DP5 loops (`integrate`, `flow` and the shooting residual) use a
+plain Python function generated once per field from the term lists
+(`compiled`); `compiled_jacobian` is its Jacobian counterpart, kept for
+callers outside the package.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,22 +34,22 @@ class Polynomial:
     evaluation and serialization deterministic.
     """
 
-    __slots__ = ("dimension", "_terms", "_grad")
+    __slots__ = ("dimension", "_terms", "_arrays")
 
     def __init__(self, dimension: int, terms: Iterable[tuple[float, Sequence[int]]] = ()):
         if dimension < 1:
             raise ValueError("polynomial dimension must be positive")
         acc: dict[tuple[int, ...], float] = {}
         for coeff, exps in terms:
-            e = tuple(int(v) for v in exps)
+            e = tuple(map(int, exps))
             if len(e) != dimension:
                 raise ValueError(f"exponent tuple {e} has length {len(e)}, expected {dimension}")
-            if any(v < 0 for v in e):
+            if min(e) < 0:
                 raise ValueError(f"negative exponent in {e}")
             acc[e] = acc.get(e, 0.0) + float(coeff)
         self.dimension = dimension
         self._terms = tuple((c, e) for e, c in sorted(acc.items()) if c != 0.0)
-        self._grad = None
+        self._arrays = None
 
     # -- constructors ------------------------------------------------------
 
@@ -129,10 +135,26 @@ class Polynomial:
             out.append((c * k, tuple(new)))
         return Polynomial(self.dimension, out)
 
-    def gradient_polys(self) -> tuple["Polynomial", ...]:
-        if self._grad is None:
-            self._grad = tuple(self.differentiate(i) for i in range(self.dimension))
-        return self._grad
+    def coefficient_arrays(self) -> tuple[np.ndarray, ...]:
+        """Dense coefficients ``(c, a, B, ...)``, one array per degree.
+
+        Entry ``d`` has shape ``(n,) * d`` and is symmetric in its indices, so
+        ``p(x) = sum_d T_d[j1..jd] x_j1 ... x_jd``. A monomial's coefficient
+        is split evenly over the distinct orderings of its variable indices.
+        Built once, on first use, and read-only.
+        """
+        if self._arrays is None:
+            n = self.dimension
+            arrays = [np.zeros((n,) * d) for d in range(self.degree() + 1)]
+            for c, e in self._terms:
+                indices = [j for j, k in enumerate(e) for _ in range(k)]
+                orderings = set(itertools.permutations(indices))
+                for index in orderings:
+                    arrays[len(indices)][index] = c / len(orderings)
+            for a in arrays:
+                a.flags.writeable = False
+            self._arrays = tuple(arrays)
+        return self._arrays
 
     # -- evaluation --------------------------------------------------------
 
@@ -190,6 +212,28 @@ def _term_str(c: float, e: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
+def derivative_at(arrays, x, order: int) -> np.ndarray:
+    """Derivative of the given ``order`` at x of the polynomial ``arrays``.
+
+    ``arrays`` are symmetric coefficient arrays, one per degree, as returned
+    by ``coefficient_arrays`` (a field's carry one leading component index).
+    Degree ``d`` contributes ``d! / (d - order)!`` times its array contracted
+    ``d - order`` times with x over its trailing indices, summed by Horner's
+    rule from the top degree down; order 0 is the value, 1 the gradient or
+    Jacobian, 2 the Hessian. The result is a new array.
+    """
+    x = np.asarray(x, dtype=float)
+    top = len(arrays) - 1
+    if top < order:
+        return np.zeros(arrays[0].shape + x.shape * order)
+    out = math.perm(top, order) * arrays[top]
+    for d in range(top - 1, order - 1, -1):
+        factor = math.perm(d, order)
+        out = out @ x
+        out += arrays[d] if factor == 1 else factor * arrays[d]
+    return out
+
+
 def _term_expr(c: float, e: tuple[int, ...]) -> str:
     """Python source fragment for one monomial, used by the code generators."""
     parts = [f"({c!r})"]
@@ -210,9 +254,9 @@ def _poly_expr(p: Polynomial) -> str:
 class PolynomialVectorField:
     """Autonomous vector field whose components are :class:`Polynomial`.
 
-    Calling the field evaluates the right-hand side; ``compiled()`` and
-    ``compiled_jacobian()`` return generated plain-Python closures that the
-    integrator uses in its inner loop.
+    Calling the field evaluates the right-hand side from its coefficient
+    arrays; ``compiled()`` returns a generated plain-Python closure for the
+    DP5 inner loops, and ``compiled_jacobian()`` its Jacobian counterpart.
     """
 
     def __init__(self, components: Sequence[Polynomial]):
@@ -254,7 +298,7 @@ class PolynomialVectorField:
         return cls(comps)
 
     def __call__(self, x) -> np.ndarray:
-        return self.compiled()(np.asarray(x, dtype=float))
+        return derivative_at(self.coefficient_arrays(), x, 0)
 
     def jacobian_polys(self) -> tuple[tuple[Polynomial, ...], ...]:
         if self._jac_polys is None:
@@ -285,21 +329,18 @@ class PolynomialVectorField:
     def coefficient_arrays(self) -> tuple[np.ndarray, ...]:
         """Dense coefficients ``(c, A, B, ...)``, one array per degree.
 
-        Entry ``d`` has shape ``(n,) + (n,) * d`` and is symmetric in its last
-        ``d`` indices, so ``f_i(x) = sum_d T_d[i, j1..jd] x_j1 ... x_jd``. A
-        monomial's coefficient is split evenly over the distinct orderings of
-        its variable indices. Built once, on first use.
+        Entry ``d`` stacks the components' degree-``d`` arrays (zeros where a
+        component has no such terms): shape ``(n,) + (n,) * d``, symmetric in
+        its last ``d`` indices, so ``f_i(x) = sum_d T_d[i, j1..jd] x_j1 ...
+        x_jd``. At least degrees 0 and 1 are present. Built once, on first use.
         """
         if self._arrays is None:
             n = self.dimension
             top = max(1, *(p.degree() for p in self.components))
             arrays = [np.zeros((n,) + (n,) * d) for d in range(top + 1)]
             for i, p in enumerate(self.components):
-                for c, e in p.terms:
-                    indices = [j for j, k in enumerate(e) for _ in range(k)]
-                    orderings = set(itertools.permutations(indices))
-                    for index in orderings:
-                        arrays[len(indices)][(i,) + index] = c / len(orderings)
+                for d, block in enumerate(p.coefficient_arrays()):
+                    arrays[d][i] = block
             for a in arrays:
                 a.flags.writeable = False
             self._arrays = tuple(arrays)

@@ -169,7 +169,10 @@ def oscillation_plane(matrix, omega: float, tol: float = 1e-8) -> tuple[np.ndarr
     """Real plane invariant under the matrix for the pair +/- i omega.
 
     Returns (u, v) = (Re w, Im w) for the eigenvector w of +i omega, so that
-    A [u v] = [u v] [[0, omega], [-omega, 0]].
+    A [u v] = [u v] [[0, omega], [-omega, 0]]. The phase of w is canonical:
+    its first component whose modulus is within a relative 1e-6 of the
+    largest is real and positive, so round-off in the matrix cannot rotate
+    the plane's basis (LAPACK returns an arbitrary phase).
     """
     a = np.asarray(matrix, dtype=float)
     values, vectors = np.linalg.eig(a)
@@ -179,6 +182,9 @@ def oscillation_plane(matrix, omega: float, tol: float = 1e-8) -> tuple[np.ndarr
             f"no eigenvalue within {tol} of i*{omega}; closest is {values[idx]}"
         )
     w = vectors[:, idx]
+    moduli = np.abs(w)
+    lead = int(np.argmax(moduli >= (1.0 - 1e-6) * moduli.max()))
+    w = w * (np.conj(w[lead]) / moduli[lead])
     u = np.real(w).copy()
     v = np.imag(w).copy()
     if np.linalg.norm(u) < tol or np.linalg.norm(v) < tol:

@@ -16,6 +16,7 @@ monomial representation whenever a bundle is constructed.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -53,13 +54,29 @@ class ConservedQuantity:
 
 
 def lie_derivative(quantity, vector_field: PolynomialVectorField) -> Polynomial:
-    """Directional derivative grad(Q) . X as an expanded polynomial."""
+    """Directional derivative grad(Q) . X as an expanded polynomial.
+
+    One pass over the term lists: the products of the terms of dQ/dx_i with
+    those of X_i are summed per i, each sum is added into one coefficient
+    table, and one polynomial is built from it at the end. The additions run
+    in the order of expanding sum_i (dQ/dx_i) X_i product by product, so the
+    coefficients agree with that expansion to the bit.
+    """
     poly = getattr(quantity, "polynomial", quantity)
-    grads = poly.gradient_polys()
-    out = Polynomial.zero(poly.dimension)
-    for g, comp in zip(grads, vector_field.components):
-        out = out + g * comp
-    return out
+    acc: dict[tuple[int, ...], float] = {}
+    for i, comp in enumerate(vector_field.components):
+        part: dict[tuple[int, ...], float] = {}
+        for c, e in poly.terms:
+            k = e[i]
+            if k == 0:
+                continue
+            dc, de = c * k, e[:i] + (k - 1,) + e[i + 1 :]
+            for cx, ex in comp.terms:
+                exps = tuple(map(operator.add, de, ex))
+                part[exps] = part.get(exps, 0.0) + dc * cx
+        for exps, v in part.items():
+            acc[exps] = acc.get(exps, 0.0) + v
+    return Polynomial(poly.dimension, [(v, e) for e, v in acc.items()])
 
 
 def conservation_defect(quantity, vector_field: PolynomialVectorField) -> float:
@@ -327,7 +344,7 @@ def verify_poisson_realization(
     r1, r2, r3 = params.inverse_inertias()
     alpha = params.alpha
     bundle = _quiet_rigid_body(params)
-    f = bundle.field.compiled()
+    f = bundle.field
     casimir = bundle.constraints[0]
 
     max_field = 0.0

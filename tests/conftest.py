@@ -1,9 +1,12 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import porbit as pb
+from porbit.poly import Polynomial, PolynomialVectorField
 
 CANONICAL_RIGID = dict(a1=1.0, a2=-1.0, a3=2.0, l=1.0)
 CANONICAL_CLEBSCH = dict(a1=1.0, a2=2.0, a3=3.0)
@@ -18,6 +21,24 @@ def quiet_rigid_body(**kwargs) -> pb.SystemBundle:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return pb.build_rigid_body(params)
+
+
+def polynomial_terms(n: int, max_degree: int = 3):
+    """Up to six random terms in n variables, of total degree <= max_degree."""
+    exps = [e for e in itertools.product(range(max_degree + 1), repeat=n) if sum(e) <= max_degree]
+    coeff = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+    return st.lists(st.tuples(coeff, st.sampled_from(exps)), max_size=6)
+
+
+@st.composite
+def fields_and_points(draw, max_dim: int = 4):
+    """A random polynomial field of dimension <= max_dim and degree <= 3, a
+    random polynomial in the same variables, and a point."""
+    n = draw(st.integers(1, max_dim))
+    field = PolynomialVectorField([Polynomial(n, draw(polynomial_terms(n))) for _ in range(n)])
+    q = Polynomial(n, draw(polynomial_terms(n)))
+    x = np.array(draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)))
+    return field, q, x
 
 
 @pytest.fixture(scope="session")

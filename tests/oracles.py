@@ -1,16 +1,18 @@
 """Independent oracles that the tests compare porbit's exact paths against.
 
 Central finite differences on plain evaluations cross-check the exact
-Jacobians, gradients and Hessians; fixed-step classical RK4 cross-checks the
-adaptive integrator, and DP5 on the augmented variational system
-cross-checks the Taylor monodromy.
+Jacobians, gradients and Hessians, and term-wise differentiation of the
+monomial lists cross-checks them to round-off, as does the product-of-
+polynomials expansion of grad(Q) . X the conservation test; fixed-step
+classical RK4 cross-checks the adaptive integrator, and DP5 on the augmented
+variational system cross-checks the Taylor monodromy.
 """
 
 import numpy as np
 
 from porbit import StepStats, ToleranceSettings, Trajectory
 from porbit.integrators import _advance
-from porbit.poly import PolynomialVectorField
+from porbit.poly import Polynomial, PolynomialVectorField
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -67,6 +69,38 @@ def hessian_fd(q, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
             ) / (4.0 * h * h)
             out[i, j] = v
             out[j, i] = v
+    return out
+
+
+def gradient_terms(q, x) -> np.ndarray:
+    """Gradient from term-wise partial derivatives."""
+    p = _poly_of(q)
+    return np.array([p.differentiate(i).evaluate(x) for i in range(p.dimension)])
+
+
+def hessian_terms(q, x) -> np.ndarray:
+    """Hessian from term-wise second partials, mirrored from the upper triangle."""
+    p = _poly_of(q)
+    n = p.dimension
+    grads = [p.differentiate(i) for i in range(n)]
+    hess = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            hess[i, j] = hess[j, i] = grads[i].differentiate(j).evaluate(x)
+    return hess
+
+
+def jacobian_terms(field: PolynomialVectorField, x) -> np.ndarray:
+    """Jacobian whose rows are the term-wise gradients of the components."""
+    return np.array([gradient_terms(p, x) for p in field.components])
+
+
+def lie_derivative_products(q, field: PolynomialVectorField) -> Polynomial:
+    """grad(Q) . X expanded as a sum of products of polynomials."""
+    p = _poly_of(q)
+    out = Polynomial.zero(p.dimension)
+    for i, comp in enumerate(field.components):
+        out = out + p.differentiate(i) * comp
     return out
 
 

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import porbit as pb
 from porbit.poly import Polynomial, PolynomialVectorField
 
-from conftest import quiet_rigid_body
-from oracles import gradient_fd, hessian_fd, jacobian_fd
+from conftest import fields_and_points, quiet_rigid_body
+from oracles import (
+    gradient_fd,
+    gradient_terms,
+    hessian_fd,
+    hessian_terms,
+    jacobian_fd,
+    jacobian_terms,
+)
 
 
 def test_rigid_jacobian_at_e1_is_exact(rigid_bundle, rigid_e1):
@@ -118,3 +126,34 @@ def test_jacobian_row_is_component_gradient():
     jac = pb.jacobian_exact(bundle.field, x)
     for i, comp in enumerate(bundle.field.components):
         np.testing.assert_allclose(jac[i], pb.gradient_exact(comp, x), rtol=1e-14, atol=1e-14)
+
+
+def _magnitude(p: Polynomial) -> Polynomial:
+    """p with |coefficients|: evaluated at |x| it bounds the summands, which
+    sets the round-off scale of any evaluation order."""
+    return Polynomial(p.dimension, [(abs(c), e) for c, e in p.terms])
+
+
+def _assert_round_off_close(got, want, scale):
+    # the absolute floor only covers underflow to subnormals
+    assert np.all(np.abs(got - want) <= 1e-13 * scale + 1e-300), (got, want, scale)
+
+
+@given(fields_and_points())
+@settings(max_examples=80, deadline=None)
+def test_array_derivatives_match_term_wise_differentiation(case):
+    field, q, x = case
+    big = _magnitude(q)
+    _assert_round_off_close(
+        pb.gradient_exact(q, x), gradient_terms(q, x), gradient_terms(big, np.abs(x)))
+    hess = pb.hessian_exact(q, x)
+    assert np.array_equal(hess, hess.T)
+    _assert_round_off_close(hess, hessian_terms(q, x), hessian_terms(big, np.abs(x)))
+    big_field = PolynomialVectorField([_magnitude(p) for p in field.components])
+    _assert_round_off_close(
+        pb.jacobian_exact(field, x), jacobian_terms(field, x), jacobian_terms(big_field, np.abs(x)))
+    _assert_round_off_close(
+        field(x),
+        np.array([p.evaluate(x) for p in field.components]),
+        np.array([p.evaluate(np.abs(x)) for p in big_field.components]),
+    )

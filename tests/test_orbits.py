@@ -240,15 +240,16 @@ def test_orbit_serialization_round_trip(rigid_family):
 
 
 def test_two_segment_fallback_recovers_a_collapsed_single_segment_solve(clebsch_bundle):
-    # a slow-family seed high on the ladder, where single shooting lets the
-    # period run negative and the m = 2 retry converges
+    # a slow-family seed high on the ladder, started a quarter turn round
+    # the oscillation plane, where single shooting lets the period run
+    # negative and the m = 2 retry converges
     M = 1.0290929531478712
     x0 = clebsch_bundle.equilibrium("e1", M)
     omega = pb.check_theorem(clebsch_bundle, x0).omegas[1]
     single_only = pb.SolverSettings(two_segment_fallback=False)
     problem = pb.orbit_problem(clebsch_bundle, x0, omega, 0.65 * M, single_only)
     with pytest.raises(pb.OrbitSolveError, match="period collapsed"):
-        pb.solve_orbit(problem)
-    orbit = pb.solve_orbit(replace(problem, settings=pb.SolverSettings()))
+        pb.solve_orbit(problem, seed_angle=math.pi / 2)
+    orbit = pb.solve_orbit(replace(problem, settings=pb.SolverSettings()), seed_angle=math.pi / 2)
     assert orbit.used_fallback
     assert orbit.period * M == pytest.approx(9.495549558361105, rel=1e-8)

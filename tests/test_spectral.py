@@ -225,6 +225,23 @@ def test_oscillation_plane_rotation_identity(clebsch_bundle, clebsch_e1):
         assert np.max(np.abs(jac @ plane - plane @ rotation)) < 1e-8
 
 
+@pytest.mark.parametrize("which", ["clebsch", "rigid"])
+def test_oscillation_plane_is_stable_under_one_ulp(which, clebsch_bundle, rigid_bundle):
+    # the Clebsch point is a continuation seed whose plane basis used to
+    # rotate under a one-ulp change of the Jacobian
+    if which == "clebsch":
+        bundle, x0 = clebsch_bundle, clebsch_bundle.equilibrium("e1", 1.0290929531478712)
+    else:
+        bundle, x0 = rigid_bundle, rigid_bundle.equilibrium("e1", 1.0)
+    jac = pb.jacobian_exact(bundle.field, x0)
+    for omega in pb.check_theorem(bundle, x0).omegas:
+        u, v = pb.oscillation_plane(jac, omega)
+        for direction in (np.inf, -np.inf):
+            u2, v2 = pb.oscillation_plane(np.nextafter(jac, direction), omega)
+            assert np.max(np.abs(u2 - u)) <= 1e-12
+            assert np.max(np.abs(v2 - v)) <= 1e-12
+
+
 def test_oscillation_plane_missing_frequency(rigid_bundle, rigid_e1):
     jac = pb.jacobian_exact(rigid_bundle.field, rigid_e1)
     with pytest.raises(pb.EigenSolveError):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import porbit as pb
 from porbit.systems import conservation_defect, lie_derivative, sphere_levels
 
-from conftest import quiet_rigid_body
+from conftest import fields_and_points, quiet_rigid_body
+from oracles import lie_derivative_products
 
 
 def sympy_lie_derivative(bundle: pb.SystemBundle, quantity) -> sp.Expr:
@@ -180,6 +181,25 @@ def test_clebsch_conservation_sympy_oracle(clebsch_bundle):
 def test_clebsch_pairing_derivative_is_zero_polynomial(clebsch_bundle):
     d = next(q for q in clebsch_bundle.constraints if q.name == "D")
     assert lie_derivative(d, clebsch_bundle.field).terms == ()
+
+
+@given(fields_and_points())
+@settings(max_examples=80, deadline=None)
+def test_lie_derivative_matches_the_product_expansion(case):
+    field, q, _ = case
+    expected = lie_derivative_products(q, field)
+    assert conservation_defect(q, field) == pytest.approx(expected.max_abs_coeff(), abs=1e-15)
+    assert lie_derivative(q, field) == expected
+
+
+@pytest.mark.parametrize("which", ["rigid", "clebsch"])
+def test_casimir_perturbed_by_1e9_fails_to_load(which, rigid_bundle, clebsch_bundle):
+    bundle = rigid_bundle if which == "rigid" else clebsch_bundle
+    cfg = pb.bundle_to_config(bundle)
+    pb.bundle_from_config(cfg)  # the exact Casimir loads
+    cfg["system"]["constraints"][-1]["terms"][0]["coeff"] += 1e-9
+    with pytest.raises(pb.ConservationError):
+        pb.bundle_from_config(cfg)
 
 
 def test_clebsch_integral_vanishes_on_axis(clebsch_bundle):
