@@ -27,19 +27,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import gradient_exact, hessian_exact, jacobian_exact
-from .errors import NotAnEquilibrium
+from .errors import DependentConstraints, NotAnEquilibrium
 from .spectral import (
     ANGLE_TOL,
     DEFINITE_TOL,
     IMAGINARY_TOL,
     KERNEL_TOL,
-    SubspaceBasis,
     eigen,
+    gradient_split,
     imaginary_pairs,
-    is_positive_definite,
     kernel,
-    restricted_hessian,
-    row_space,
+    restrict,
     subspace_equal,
 )
 from .systems import SystemBundle, sphere_levels
@@ -125,10 +123,7 @@ def check_theorem(
 
     k = bundle.k
     grads = [q.gradient(x0) for q in bundle.constraints]
-    if k > 0:
-        grad_span = row_space(np.vstack(grads), tol.kernel)
-    else:
-        grad_span = SubspaceBasis(n, np.zeros((n, 0)))
+    grad_span, joint_kernel = gradient_split(grads, n, tol.kernel)
     is_regular = grad_span.dim == k
 
     jac = jacobian_exact(bundle.field, x0)
@@ -144,12 +139,15 @@ def check_theorem(
     grad_i = gradient_exact(bundle.integral, x0)
     grad_i_norm = float(np.linalg.norm(grad_i))
     hess = hessian_exact(bundle.integral, x0)
-    restricted = restricted_hessian(hess, grads, tol.kernel)
+    if not is_regular:
+        raise DependentConstraints("constraint gradients dependent")
+    restricted = restrict(hess, joint_kernel)
     spectrum = (
         [float(v) for v in np.linalg.eigvalsh(restricted)] if restricted.size else []
     )
-    condition_iii = grad_i_norm < tol.gradient and is_positive_definite(
-        restricted, tol.definiteness
+    # eigvalsh sorts ascending; the empty restriction counts as definite
+    condition_iii = grad_i_norm < tol.gradient and (
+        not spectrum or spectrum[0] > tol.definiteness
     )
 
     predicted = [2.0 * math.pi / w for w in omegas]

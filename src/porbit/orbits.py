@@ -1,18 +1,19 @@
 """Periodic orbits on prescribed level sets via constrained shooting.
 
-Orbits are found in the ambient space by multiple shooting with m segments
-(one, then two as a fallback): the unknowns are a point x, the m - 1 interior
-segment points and the period T, and the residual stacks the gaps between
-segments, the constraint offsets C_i(x) - C_i(x0), the integral offset
-I(x) - I(x0) - eps^2, and a phase condition anchored at the seed point. No
-local coordinates on the level set are built; the consistent overdetermined
-least-squares step is solved by a truncated SVD.
+Orbits are found in the ambient space by single shooting: the unknowns are a
+point x and the period T, and the residual stacks the closure gap
+phi_T(x) - x, the constraint offsets C_i(x) - C_i(x0), the integral offset
+I(x) - I(x0) - eps^2, and a phase condition anchored at the starting point.
+No local coordinates on the level set are built; the consistent
+overdetermined least-squares step is solved by a truncated SVD.
 
 Seeding comes from the linearization: the guess sits in the oscillation
 plane of the chosen +/- i omega pair, scaled so the integral offset is
-eps^2 to leading order, with T0 = 2 pi / omega. Continuation in eps solves
-the largest offset first and warm-starts smaller ones by shrinking the
-converged orbit toward the equilibrium.
+eps^2 to leading order, with T0 = 2 pi / omega. The family shrinks onto the
+equilibrium as eps -> 0, so continuation climbs it from below: the smallest
+offset is solved from the seed, and each larger one starts from the
+previous orbit scaled out by the eps ratio. A seed solve that fails is
+retried the same way, up a ladder of offsets below the requested one.
 """
 
 from __future__ import annotations
@@ -31,13 +32,23 @@ from .spectral import eigen, imaginary_pairs, oscillation_plane
 from .systems import SystemBundle
 
 
+SWEEP_POINTS = 16  # directions round the oscillation plane tried by the seed
+FALLBACK_RUNGS = 16  # rungs eps * j / FALLBACK_RUNGS climbed when a seed solve fails
+
+
 @dataclass(frozen=True)
 class SolverSettings:
+    """Shooting tolerances and iteration limits.
+
+    ``two_segment_fallback`` keeps its historical name: when set, a solve
+    from the linearization seed that fails is retried by continuation from
+    below (see :func:`solve_orbit`); there is no two-segment solver any more.
+    """
+
     tol_orbit: float = 1e-10
     max_iter: int = 25
     svd_cutoff: float = 1e-10
     ode: ToleranceSettings = field(default_factory=ToleranceSettings)
-    sweep_points: int = 16
     two_segment_fallback: bool = True
 
 
@@ -163,9 +174,8 @@ def initial_guess(problem: OrbitProblem, angle: float = 0.0) -> tuple[np.ndarray
         return x0.copy(), t0
     hess = hessian_exact(problem.bundle.integral, x0)
     plane = _orthonormal_plane(*problem.eigenplane)
-    sweep = problem.settings.sweep_points
-    for j in range(sweep):
-        theta = angle + 2.0 * math.pi * j / sweep
+    for j in range(SWEEP_POINTS):
+        theta = angle + 2.0 * math.pi * j / SWEEP_POINTS
         direction = plane @ np.array([math.cos(theta), math.sin(theta)])
         quad = float(direction @ hess @ direction)
         if quad > 0.0:
@@ -218,12 +228,17 @@ def solve_orbit(
     T_init: float | None = None,
     seed_angle: float = 0.0,
 ) -> PeriodicOrbit:
-    """Gauss-Newton shooting for one periodic orbit.
+    """Gauss-Newton single shooting for one periodic orbit.
 
     ``x_init`` and ``T_init`` override the linearization seed (used by
     continuation warm starts). Raises :class:`OrbitSolveError` on
-    non-convergence, a collapsed or runaway period, or constraint-residual
-    stagnation; a single two-segment retry is attempted first when enabled.
+    non-convergence, a collapsed or runaway period, constraint-residual
+    stagnation or a failed integration. When a solve from the seed fails
+    this way and ``two_segment_fallback`` is set, the orbit is approached
+    from below instead: :func:`continue_family` climbs eps * j / 16,
+    j = 1..16, with the fallback off, and its last rung is returned marked
+    ``used_fallback``. If that rung fails too, the seed solve's error is
+    raised.
     """
     if problem.epsilon <= 0.0:
         raise ValueError("epsilon must be positive; the equilibrium itself is the eps = 0 limit")
@@ -233,18 +248,26 @@ def solve_orbit(
     else:
         x = np.array(x_init, dtype=float)
     T = float(t0 if T_init is None else T_init)
-    segment_counts = (1, 2) if problem.settings.two_segment_fallback else (1,)
-    for m in segment_counts:
+    try:
+        return _shoot(problem, x, T, t0)
+    except IntegrationError as exc:
+        raise OrbitSolveError(f"integration failed during shooting: {exc}") from exc
+    except OrbitSolveError:
+        if x_init is not None or not problem.settings.two_segment_fallback:
+            raise
+        eps = problem.epsilon
+        rungs = [eps * j / FALLBACK_RUNGS for j in range(1, FALLBACK_RUNGS + 1)]
+        no_fallback = replace(problem.settings, two_segment_fallback=False)
         try:
-            return _shoot(problem, x, T, t0, m)
-        except IntegrationError as exc:
-            raise OrbitSolveError(f"integration failed during shooting: {exc}") from exc
+            family = continue_family(replace(problem, settings=no_fallback), rungs)
         except OrbitSolveError:
-            if m == segment_counts[-1]:
-                raise
+            family = None
+        if family is None or family.rows[-1][0] != eps:
+            raise
+        return replace(family.rows[-1][1], used_fallback=True)
 
 
-def _orbit_record(problem, x, T, closure_vec, monodromy_matrix, iterations, fallback=False):
+def _orbit_record(problem, x, T, closure_vec, monodromy_matrix, iterations):
     bundle = problem.bundle
     c_targets, i_target = _constraint_data(problem)
     constraint_residuals = {
@@ -261,7 +284,6 @@ def _orbit_record(problem, x, T, closure_vec, monodromy_matrix, iterations, fall
         iterations=iterations,
         epsilon=problem.epsilon,
         omega_ref=problem.omega,
-        used_fallback=fallback,
     )
 
 
@@ -273,12 +295,8 @@ def _guard_period(T: float, t0: float, last_residual: float):
         )
 
 
-def _shoot(problem: OrbitProblem, x, T, t0, m: int) -> PeriodicOrbit:
-    """Gauss-Newton shooting with m segments of duration T / m.
-
-    Segment j carries x_j (x_0 = x) onto x_{(j+1) mod m}; the interior
-    points start on the flow from x.
-    """
+def _shoot(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
+    """Gauss-Newton single shooting from the point x and the period T."""
     bundle = problem.bundle
     settings = problem.settings
     f = bundle.field.compiled()
@@ -287,67 +305,55 @@ def _shoot(problem: OrbitProblem, x, T, t0, m: int) -> PeriodicOrbit:
     k = len(c_targets)
     phase_anchor = x.copy()
     phase_dir = f(phase_anchor)
-    points = [x] + [flow(bundle.field, x, j * T / m, settings.ode) for j in range(1, m)]
     watch = _LevelSetWatch()
     last = math.inf
 
     for iteration in range(settings.max_iter + 1):
-        x = points[0]
-        segments = [flow_with_monodromy(bundle.field, p, T / m, settings.ode) for p in points]
-        gaps = [end - points[(j + 1) % m] for j, (end, _) in enumerate(segments)]
+        end, mono = flow_with_monodromy(bundle.field, x, T, settings.ode)
+        gap = end - x
         c_res = np.array(
             [q.value(x) - target for q, target in zip(bundle.constraints, c_targets)]
         )
         i_res = bundle.integral.value(x) - i_target
         phase = float(phase_dir @ (x - phase_anchor))
-        residual = np.concatenate((*gaps, c_res, [i_res], [phase]))
+        residual = np.concatenate((gap, c_res, [i_res], [phase]))
         last = float(np.max(np.abs(residual)))
         if last < settings.tol_orbit:
-            mono = segments[0][1]
-            for _, mono_j in segments[1:]:
-                mono = mono_j @ mono
-            # a gap of m > 1 segments is not the closure of the full-period flow
-            closure = gaps[0] if m == 1 else flow(bundle.field, x, T, settings.ode) - x
-            return _orbit_record(problem, x, T, closure, mono, iteration, fallback=m > 1)
+            return _orbit_record(problem, x, T, gap, mono, iteration)
         if iteration == settings.max_iter:
             break
         watch.update(max(np.max(np.abs(c_res), initial=0.0), abs(i_res)))
 
-        jac = np.zeros((m * n + k + 2, m * n + 1))
-        for j, (end, mono_j) in enumerate(segments):
-            rows = slice(j * n, (j + 1) * n)
-            nxt = (j + 1) % m
-            jac[rows, rows] = mono_j
-            jac[rows, nxt * n : (nxt + 1) * n] -= np.eye(n)
-            jac[rows, m * n] = f(end) / m
+        jac = np.zeros((n + k + 2, n + 1))
+        jac[:n, :n] = mono - np.eye(n)
+        jac[:n, n] = f(end)
         for i, q in enumerate(bundle.constraints):
-            jac[m * n + i, :n] = q.gradient(x)
-        jac[m * n + k, :n] = gradient_exact(bundle.integral, x)
-        jac[m * n + k + 1, :n] = phase_dir
+            jac[n + i, :n] = q.gradient(x)
+        jac[n + k, :n] = gradient_exact(bundle.integral, x)
+        jac[n + k + 1, :n] = phase_dir
 
         step = _svd_step(jac, residual, settings.svd_cutoff)
-        points = [p + step[j * n : (j + 1) * n] for j, p in enumerate(points)]
-        T = T + step[m * n]
-        if not all(np.all(np.isfinite(p)) for p in points):
+        x = x + step[:n]
+        T = T + step[n]
+        if not np.all(np.isfinite(x)):
             raise OrbitSolveError("iterate became non-finite", last_residual=last)
         _guard_period(T, t0, last)
 
-    fallback_note = "two-segment fallback, " if m == 2 else ""
     raise OrbitSolveError(
         f"no convergence after {settings.max_iter} iterations "
-        f"({fallback_note}last residual {last:.3e})",
+        f"(last residual {last:.3e})",
         last_residual=last,
     )
 
 
 def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
-    """Solve a list of offsets, warm-starting each from its larger neighbor.
+    """Solve a list of offsets in ascending order, warm-starting each one.
 
-    ``epsilons`` must be positive and ascending. The largest offset is solved
-    from the linearization seed; each smaller one starts from the previous
-    orbit scaled toward the equilibrium (the family shrinks linearly to
-    leading order). Failed rows are recorded and skipped; the call raises
-    only when no offset converges.
+    ``epsilons`` must be positive and ascending. The first offset is solved
+    from the linearization seed; each later one starts once from the last
+    converged orbit scaled out from the equilibrium by the eps ratio (the
+    family grows linearly to leading order) and from its period. Failed rows
+    are recorded and skipped; the call raises only when no offset converges.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -360,35 +366,24 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
     x0 = problem.equilibrium
     rows: list[tuple[float, PeriodicOrbit]] = []
     failures: dict[float, str] = {}
-    prev: tuple[float, PeriodicOrbit] | None = None
-
-    for eps in reversed(eps_list):
+    for eps in eps_list:
         sub = replace(problem, epsilon=eps)
-        attempts = []
-        if prev is not None:
-            prev_eps, prev_orbit = prev
-            warm = x0 + (eps / prev_eps) * (prev_orbit.point - x0)
-            attempts.append((warm, prev_orbit.period))
-        attempts.append((None, None))
-        orbit = None
-        error = None
-        for x_init, t_init in attempts:
-            try:
-                orbit = solve_orbit(sub, x_init=x_init, T_init=t_init)
-                break
-            except (OrbitSolveError, EigenplaneDegenerate) as exc:
-                error = exc
-        if orbit is None:
-            failures[eps] = str(error)
+        try:
+            if rows:
+                prev_eps, prev_orbit = rows[-1]
+                warm = x0 + (eps / prev_eps) * (prev_orbit.point - x0)
+                orbit = solve_orbit(sub, x_init=warm, T_init=prev_orbit.period)
+            else:
+                orbit = solve_orbit(sub)
+        except (OrbitSolveError, EigenplaneDegenerate) as exc:
+            failures[eps] = str(exc)
             continue
         rows.append((eps, orbit))
-        prev = (eps, orbit)
 
     if not rows:
         raise OrbitSolveError(
-            f"no epsilon converged out of {eps_list}; last error: {error}"
+            f"no epsilon converged out of {eps_list}; last error: {failures[eps_list[-1]]}"
         )
-    rows.sort(key=lambda item: item[0])
     return OrbitFamily(tuple(rows), problem.omega, failures)
 
 

@@ -84,8 +84,7 @@ def kernel(matrix, tol: float = KERNEL_TOL) -> SubspaceBasis:
 def row_space(matrix, tol: float = KERNEL_TOL) -> SubspaceBasis:
     """Orthonormal basis of the span of the rows."""
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    rank, vh = _rank_and_vh(a, tol)
-    return SubspaceBasis(a.shape[1], vh[:rank].T.copy())
+    return gradient_split(a, a.shape[1], tol)[0]
 
 
 def largest_principal_angle(a: SubspaceBasis, b: SubspaceBasis) -> float:
@@ -135,6 +134,25 @@ def imaginary_pairs(eig: EigenData, tol: float | None = None) -> list[float]:
     return out
 
 
+def gradient_split(constraint_grads, n: int, tol: float = KERNEL_TOL):
+    """Span of the gradients and their joint kernel in R^n, from one SVD.
+
+    Returns two :class:`SubspaceBasis` objects; with no gradients the span
+    is empty and the kernel is the whole space.
+    """
+    if len(constraint_grads) == 0:
+        return SubspaceBasis(n, np.zeros((n, 0))), SubspaceBasis(n, np.eye(n))
+    rank, vh = _rank_and_vh(np.vstack(constraint_grads), tol)
+    return SubspaceBasis(n, vh[:rank].T.copy()), SubspaceBasis(n, vh[rank:].T.copy())
+
+
+def restrict(hess, kernel_basis: SubspaceBasis) -> np.ndarray:
+    """B^T H B for the orthonormal basis B, symmetrized to the bit."""
+    b = kernel_basis.vectors
+    r = b.T @ np.asarray(hess, dtype=float) @ b
+    return 0.5 * (r + r.T)
+
+
 def restricted_hessian(hess, constraint_grads, tol: float = KERNEL_TOL) -> np.ndarray:
     """The quadratic form restricted to the joint kernel of the gradients.
 
@@ -144,16 +162,11 @@ def restricted_hessian(hess, constraint_grads, tol: float = KERNEL_TOL) -> np.nd
     deficient, which signals the base point is not a regular value.
     """
     h = np.asarray(hess, dtype=float)
-    n = h.shape[0]
     grads = [np.asarray(g, dtype=float) for g in constraint_grads]
-    if not grads:
-        return 0.5 * (h + h.T)
-    rank, vh = _rank_and_vh(np.vstack(grads), tol)
-    if rank < len(grads):
+    span, joint_kernel = gradient_split(grads, h.shape[0], tol)
+    if span.dim < len(grads):
         raise DependentConstraints("constraint gradients dependent")
-    basis = vh[rank:].T.copy()
-    r = basis.T @ h @ basis
-    return 0.5 * (r + r.T)
+    return restrict(h, joint_kernel)
 
 
 def is_positive_definite(matrix, tol: float = DEFINITE_TOL) -> bool:

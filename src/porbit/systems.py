@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .calculus import gradient_exact, hessian_exact
+from .calculus import gradient_exact
 from .errors import ConfigError, ConservationError, NoInertiaRealization
 from .poly import Polynomial, PolynomialVectorField
 
@@ -48,9 +48,6 @@ class ConservedQuantity:
 
     def gradient(self, x) -> np.ndarray:
         return gradient_exact(self.polynomial, x)
-
-    def hessian(self, x) -> np.ndarray:
-        return hessian_exact(self.polynomial, x)
 
 
 def lie_derivative(quantity, vector_field: PolynomialVectorField) -> Polynomial:

@@ -242,7 +242,7 @@ def test_orbit_serialization_round_trip(rigid_family):
 def test_two_segment_fallback_recovers_a_collapsed_single_segment_solve(clebsch_bundle):
     # a slow-family seed high on the ladder, started a quarter turn round
     # the oscillation plane, where single shooting lets the period run
-    # negative and the m = 2 retry converges
+    # negative and the fallback's ladder of smaller offsets reaches the orbit
     M = 1.0290929531478712
     x0 = clebsch_bundle.equilibrium("e1", M)
     omega = pb.check_theorem(clebsch_bundle, x0).omegas[1]
@@ -253,3 +253,30 @@ def test_two_segment_fallback_recovers_a_collapsed_single_segment_solve(clebsch_
     orbit = pb.solve_orbit(replace(problem, settings=pb.SolverSettings()), seed_angle=math.pi / 2)
     assert orbit.used_fallback
     assert orbit.period * M == pytest.approx(9.495549558361105, rel=1e-8)
+
+
+FAST_LADDER = [round(0.05 * i, 10) for i in range(1, 19)] + [0.95]
+
+
+@pytest.fixture(scope="module")
+def clebsch_fast_ladder(clebsch_bundle, clebsch_e1):
+    """The fast Clebsch family up to 0.95 of its end at eps = 1 (M = 1)."""
+    problem = pb.orbit_problem(clebsch_bundle, clebsch_e1, ROOT2, FAST_LADDER[-1])
+    return problem, pb.continue_family(problem, FAST_LADDER)
+
+
+def test_ascending_continuation_reaches_the_top_of_the_fast_family(clebsch_fast_ladder):
+    _, family = clebsch_fast_ladder
+    assert family.failures == {}
+    assert family.epsilons() == FAST_LADDER
+    assert not any(orbit.used_fallback for _, orbit in family.rows)
+
+
+def test_cold_solve_at_the_top_rung_climbs_the_ladder(clebsch_fast_ladder):
+    # the seed at eps = 0.95 lies far from the orbit: single shooting from it
+    # fails, and the orbit is reached from below
+    problem, family = clebsch_fast_ladder
+    orbit = pb.solve_orbit(problem)
+    assert orbit.used_fallback
+    assert orbit.closure_residual <= problem.settings.tol_orbit
+    assert orbit.period == pytest.approx(family.rows[-1][1].period, rel=1e-9)
