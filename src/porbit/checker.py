@@ -155,13 +155,7 @@ def check_theorem(
     family_count = reduced // 2
     floored = reduced % 2 == 1
 
-    verdict = (
-        condition_i
-        and condition_ii
-        and condition_iii
-        and is_regular
-        and grad_i_norm < tol.gradient
-    )
+    verdict = condition_i and condition_ii and condition_iii
 
     return HypothesisReport(
         equilibrium_residual=residual,

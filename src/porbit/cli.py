@@ -18,24 +18,9 @@ from dataclasses import replace
 import numpy as np
 
 from .checker import check_theorem
-from .errors import (
-    ConfigError,
-    DependentConstraints,
-    EigenplaneDegenerate,
-    IntegrationError,
-    NoInertiaRealization,
-    NotAnEquilibrium,
-    OrbitSolveError,
-    PorbitError,
-)
-from .integrators import drift_report, integrate
-from .orbits import (
-    SolverSettings,
-    continue_family,
-    orbit_problem,
-    orbit_samples_csv,
-    solve_orbit,
-)
+from .errors import ConfigError, NoInertiaRealization, NotAnEquilibrium, PorbitError
+from .integrators import drift_report, integrate, write_states_csv
+from .orbits import SolverSettings, continue_family, orbit_problem, sample_orbit, solve_orbit
 from .systems import (
     RigidBodyParams,
     SystemBundle,
@@ -184,11 +169,9 @@ def cmd_find_orbit(args) -> int:
                 with open(os.path.join(out, stem + ".json"), "w") as fh:
                     json.dump(record, fh, indent=2)
                 if args.csv:
-                    orbit_samples_csv(
-                        bundle,
-                        orbit,
+                    write_states_csv(
+                        *sample_orbit(bundle, orbit, settings=settings.ode),
                         os.path.join(out, stem + ".csv"),
-                        settings=settings.ode,
                     )
     _print_json({"orbits": records})
     return 0
@@ -338,14 +321,6 @@ def main(argv=None) -> int:
     except (ConfigError, NotAnEquilibrium, NoInertiaRealization, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except (
-        OrbitSolveError,
-        IntegrationError,
-        DependentConstraints,
-        EigenplaneDegenerate,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return MATH_NEGATIVE
     except PorbitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return MATH_NEGATIVE

@@ -2,10 +2,13 @@
 
 Orbits are found in the ambient space by single shooting: the unknowns are a
 point x and the period T, and the residual stacks the closure gap
-phi_T(x) - x, the constraint offsets C_i(x) - C_i(x0), the integral offset
-I(x) - I(x0) - eps^2, and a phase condition anchored at the starting point.
-No local coordinates on the level set are built; the consistent
-overdetermined least-squares step is solved by a truncated SVD.
+phi_T(x) - x, the level offsets Q(x) - Q(x0) of every constraint and of the
+integral (whose target carries the extra eps^2), and a phase condition
+anchored at the starting point. No local coordinates on the level set are
+built; the consistent overdetermined least-squares step is solved by a
+truncated SVD, and an orbit is accepted only when every residual entry is
+below tolerance. The flow and its monodromy come from the Taylor integrator,
+which also samples converged orbits.
 
 Seeding comes from the linearization: the guess sits in the oscillation
 plane of the chosen +/- i omega pair, scaled so the integral offset is
@@ -25,9 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import gradient_exact, hessian_exact, jacobian_exact
+from .calculus import hessian_exact, jacobian_exact
 from .errors import EigenplaneDegenerate, IntegrationError, OrbitSolveError
-from .integrators import ToleranceSettings, flow, flow_with_monodromy, write_states_csv
+from .integrators import ToleranceSettings, flow_with_monodromy
 from .spectral import eigen, imaginary_pairs, oscillation_plane
 from .systems import SystemBundle
 
@@ -187,14 +190,6 @@ def initial_guess(problem: OrbitProblem, angle: float = 0.0) -> tuple[np.ndarray
     )
 
 
-def _constraint_data(problem: OrbitProblem):
-    bundle = problem.bundle
-    x0 = problem.equilibrium
-    c_targets = [q.value(x0) for q in bundle.constraints]
-    i_target = bundle.integral.value(x0) + problem.epsilon**2
-    return c_targets, i_target
-
-
 def _svd_step(jac: np.ndarray, residual: np.ndarray, cutoff: float) -> np.ndarray:
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
     smax = s[0] if s.size else 0.0
@@ -203,23 +198,6 @@ def _svd_step(jac: np.ndarray, residual: np.ndarray, cutoff: float) -> np.ndarra
     weights = np.zeros_like(s)
     weights[keep] = coeffs[keep] / s[keep]
     return -(vt.T @ weights)
-
-
-class _LevelSetWatch:
-    """Flags stagnation of the constraint block above the adherence floor."""
-
-    def __init__(self, floor: float = 1e-6, window: int = 3):
-        self.floor = floor
-        self.window = window
-        self.history: list[float] = []
-
-    def update(self, value: float):
-        self.history.append(value)
-        recent = self.history[-(self.window + 1):]
-        if len(recent) <= self.window:
-            return
-        if all(v > self.floor for v in recent) and recent[-1] > 0.5 * recent[0]:
-            raise OrbitSolveError("left level set", last_residual=value)
 
 
 def solve_orbit(
@@ -232,13 +210,12 @@ def solve_orbit(
 
     ``x_init`` and ``T_init`` override the linearization seed (used by
     continuation warm starts). Raises :class:`OrbitSolveError` on
-    non-convergence, a collapsed or runaway period, constraint-residual
-    stagnation or a failed integration. When a solve from the seed fails
-    this way and ``two_segment_fallback`` is set, the orbit is approached
-    from below instead: :func:`continue_family` climbs eps * j / 16,
-    j = 1..16, with the fallback off, and its last rung is returned marked
-    ``used_fallback``. If that rung fails too, the seed solve's error is
-    raised.
+    non-convergence, a collapsed or runaway period or a failed integration.
+    When a solve from the seed fails this way and ``two_segment_fallback``
+    is set, the orbit is approached from below instead:
+    :func:`continue_family` climbs eps * j / 16, j = 1..16, with the
+    fallback off, and its last rung is returned marked ``used_fallback``. If
+    that rung fails too, the seed solve's error is raised.
     """
     if problem.epsilon <= 0.0:
         raise ValueError("epsilon must be positive; the equilibrium itself is the eps = 0 limit")
@@ -267,77 +244,69 @@ def solve_orbit(
         return replace(family.rows[-1][1], used_fallback=True)
 
 
-def _orbit_record(problem, x, T, closure_vec, monodromy_matrix, iterations):
-    bundle = problem.bundle
-    c_targets, i_target = _constraint_data(problem)
-    constraint_residuals = {
-        q.name: abs(q.value(x) - target)
-        for q, target in zip(bundle.constraints, c_targets)
-    }
-    return PeriodicOrbit(
-        point=x.copy(),
-        period=float(T),
-        closure_residual=float(np.linalg.norm(closure_vec)),
-        constraint_residuals={k: float(v) for k, v in constraint_residuals.items()},
-        level_residual=float(abs(bundle.integral.value(x) - i_target)),
-        floquet_multipliers=np.linalg.eigvals(monodromy_matrix),
-        iterations=iterations,
-        epsilon=problem.epsilon,
-        omega_ref=problem.omega,
-    )
-
-
-def _guard_period(T: float, t0: float, last_residual: float):
-    if not np.isfinite(T) or T < 0.1 * t0 or T > 10.0 * t0:
-        raise OrbitSolveError(
-            f"period collapsed: T = {T:.6g} wandered outside [0.1, 10] x {t0:.6g}",
-            last_residual=last_residual,
-        )
-
-
 def _shoot(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
-    """Gauss-Newton single shooting from the point x and the period T."""
+    """Gauss-Newton single shooting from the point x and the period T.
+
+    Each iteration integrates once and evaluates one residual: the closure
+    gap, the level offsets of ``constraints + (integral,)`` and the phase.
+    The Jacobian rows are the derivatives of those same entries, and the
+    returned orbit reports its residuals from that one evaluation. The solve
+    ends when every entry is below ``tol_orbit``, after ``max_iter`` steps,
+    or when the period leaves [0.1, 10] x t0.
+    """
     bundle = problem.bundle
     settings = problem.settings
     f = bundle.field.compiled()
     n = bundle.dimension
-    c_targets, i_target = _constraint_data(problem)
-    k = len(c_targets)
+    quantities = bundle.constraints + (bundle.integral,)
+    targets = [q.value(problem.equilibrium) for q in quantities]
+    targets[-1] += problem.epsilon**2
+    m = len(quantities)
     phase_anchor = x.copy()
     phase_dir = f(phase_anchor)
-    watch = _LevelSetWatch()
     last = math.inf
 
     for iteration in range(settings.max_iter + 1):
         end, mono = flow_with_monodromy(bundle.field, x, T, settings.ode)
         gap = end - x
-        c_res = np.array(
-            [q.value(x) - target for q, target in zip(bundle.constraints, c_targets)]
-        )
-        i_res = bundle.integral.value(x) - i_target
+        levels = np.array([q.value(x) - c for q, c in zip(quantities, targets)])
         phase = float(phase_dir @ (x - phase_anchor))
-        residual = np.concatenate((gap, c_res, [i_res], [phase]))
+        residual = np.concatenate((gap, levels, [phase]))
         last = float(np.max(np.abs(residual)))
         if last < settings.tol_orbit:
-            return _orbit_record(problem, x, T, gap, mono, iteration)
+            return PeriodicOrbit(
+                point=x.copy(),
+                period=float(T),
+                closure_residual=float(np.linalg.norm(gap)),
+                constraint_residuals={
+                    q.name: float(abs(r)) for q, r in zip(bundle.constraints, levels)
+                },
+                level_residual=float(abs(levels[-1])),
+                floquet_multipliers=np.linalg.eigvals(mono),
+                iterations=iteration,
+                epsilon=problem.epsilon,
+                omega_ref=problem.omega,
+            )
         if iteration == settings.max_iter:
             break
-        watch.update(max(np.max(np.abs(c_res), initial=0.0), abs(i_res)))
 
-        jac = np.zeros((n + k + 2, n + 1))
+        jac = np.zeros((n + m + 1, n + 1))
         jac[:n, :n] = mono - np.eye(n)
         jac[:n, n] = f(end)
-        for i, q in enumerate(bundle.constraints):
+        for i, q in enumerate(quantities):
             jac[n + i, :n] = q.gradient(x)
-        jac[n + k, :n] = gradient_exact(bundle.integral, x)
-        jac[n + k + 1, :n] = phase_dir
+        jac[n + m, :n] = phase_dir
 
         step = _svd_step(jac, residual, settings.svd_cutoff)
         x = x + step[:n]
         T = T + step[n]
         if not np.all(np.isfinite(x)):
             raise OrbitSolveError("iterate became non-finite", last_residual=last)
-        _guard_period(T, t0, last)
+        if not np.isfinite(T) or T < 0.1 * t0 or T > 10.0 * t0:
+            raise OrbitSolveError(
+                f"period collapsed: T = {T:.6g} wandered outside [0.1, 10] x {t0:.6g}",
+                last_residual=last,
+            )
 
     raise OrbitSolveError(
         f"no convergence after {settings.max_iter} iterations "
@@ -393,10 +362,13 @@ def sample_orbit(
     n_samples: int = 64,
     settings: ToleranceSettings | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Equally spaced states along one period, starting at the orbit point."""
+    """Equally spaced states along one period, starting at the orbit point.
+
+    Each state is the Taylor flow of the previous one over T / n_samples,
+    the integrator that the shooting itself uses.
+    """
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    settings = settings or ToleranceSettings()
     dt = orbit.period / n_samples
     times = np.array([i * dt for i in range(n_samples)])
     states = np.empty((n_samples, bundle.dimension))
@@ -404,10 +376,5 @@ def sample_orbit(
     for i in range(n_samples):
         states[i] = x
         if i < n_samples - 1:
-            x = flow(bundle.field, x, dt, settings)
+            x = flow_with_monodromy(bundle.field, x, dt, settings)[0]
     return times, states
-
-
-def orbit_samples_csv(bundle, orbit, target, n_samples: int = 64, settings=None):
-    """Write sampled orbit states as ``t,x1,...,xn`` rows."""
-    write_states_csv(*sample_orbit(bundle, orbit, n_samples, settings), target)

@@ -61,12 +61,6 @@ class Polynomial:
     def constant(cls, dimension: int, value: float) -> "Polynomial":
         return cls(dimension, [(value, (0,) * dimension)])
 
-    @classmethod
-    def variable(cls, dimension: int, index: int) -> "Polynomial":
-        exps = [0] * dimension
-        exps[index] = 1
-        return cls(dimension, [(1.0, exps)])
-
     # -- basic protocol ----------------------------------------------------
 
     @property
@@ -187,9 +181,6 @@ class Polynomial:
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c, _ in self._terms), default=0.0)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs_coeff() <= tol
 
     def degree(self) -> int:
         return max((sum(e) for _, e in self._terms), default=0)

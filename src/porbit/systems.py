@@ -99,7 +99,6 @@ class SystemBundle:
         families: Mapping[str, Callable[[float], np.ndarray]] | None = None,
         extra_quantities: Sequence[ConservedQuantity] = (),
         level_aliases: Mapping[str, tuple[str, float]] | None = None,
-        check_conservation: bool = True,
     ):
         self.name = name
         self.field = vector_field
@@ -117,8 +116,7 @@ class SystemBundle:
         for q in self.all_quantities():
             if q.polynomial.dimension != n:
                 raise ConfigError(f"quantity {q.name!r} has wrong dimension")
-        if check_conservation:
-            self.verify_conservation()
+        self.verify_conservation()
         for label, point in self.equilibria.items():
             self._check_equilibrium(label, point)
 

@@ -5,12 +5,15 @@ Jacobians, gradients and Hessians, and term-wise differentiation of the
 monomial lists cross-checks them to round-off, as does the product-of-
 polynomials expansion of grad(Q) . X the conservation test; fixed-step
 classical RK4 cross-checks the adaptive integrator, and DP5 on the augmented
-variational system cross-checks the Taylor monodromy.
+variational system cross-checks the Taylor monodromy. An inline 1:1
+resonant oscillator, in a rotated frame, exercises shooting at a resonance.
 """
+
+import math
 
 import numpy as np
 
-from porbit import StepStats, ToleranceSettings, Trajectory
+from porbit import ConservedQuantity, StepStats, SystemBundle, ToleranceSettings, Trajectory
 from porbit.integrators import _advance
 from porbit.poly import Polynomial, PolynomialVectorField
 
@@ -134,3 +137,32 @@ def dp5_monodromy(field: PolynomialVectorField, x, t_end: float, tol: float):
     settings = ToleranceSettings(abs_tol=tol, rel_tol=tol)
     y, _ = _advance(rhs, np.concatenate((x, np.eye(n).ravel())), t_end, settings, collect=False)
     return y[:n], y[n:].reshape(n, n)
+
+
+def rotated_oscillator(theta: float) -> SystemBundle:
+    """1:1 resonant oscillator on (q1, q2, p1, p2), seen in a rotated frame.
+
+    H = (|q|^2 + |p|^2) / 2 + (q1^4 + q2^4) / 4 + 0.3 q1^2 q2^2 is evaluated
+    at (R^T q, R^T p), with R the rotation by theta, and the field is
+    (dH/dp, -dH/dq). There are no constraints and H is the integral. R turns
+    q and p alike, so the change of frame is symplectic: the normal modes
+    turn by theta and the double frequency 1 stays at the origin.
+    """
+    n = 4
+
+    def coordinate(i):
+        return Polynomial(n, [(1.0, tuple(int(j == i) for j in range(n)))])
+
+    q1, q2, p1, p2 = (coordinate(i) for i in range(n))
+    c, s = math.cos(theta), math.sin(theta)
+    u1, u2 = c * q1 + s * q2, c * q2 - s * q1
+    v1, v2 = c * p1 + s * p2, c * p2 - s * p1
+    h = (
+        0.5 * (u1 * u1 + u2 * u2 + v1 * v1 + v2 * v2)
+        + 0.25 * (u1 * u1 * u1 * u1 + u2 * u2 * u2 * u2)
+        + 0.3 * (u1 * u1 * u2 * u2)
+    )
+    field = PolynomialVectorField(
+        [h.differentiate(2), h.differentiate(3), -h.differentiate(0), -h.differentiate(1)]
+    )
+    return SystemBundle("rotated_oscillator", field, [], ConservedQuantity("H", h, "integral"))

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import porbit as pb
+from oracles import rotated_oscillator
 
 TWO_PI = 2.0 * math.pi
 ROOT2 = math.sqrt(2.0)
@@ -280,3 +281,48 @@ def test_cold_solve_at_the_top_rung_climbs_the_ladder(clebsch_fast_ladder):
     assert orbit.used_fallback
     assert orbit.closure_residual <= problem.settings.tol_orbit
     assert orbit.period == pytest.approx(family.rows[-1][1].period, rel=1e-9)
+
+
+# -- resonance and failure messages ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "theta, period",
+    [(0.37, 6.1420978174), (0.0, 6.10956476)],
+    ids=["rotated", "axis"],
+)
+def test_resonant_oscillator_converges_from_every_seed_angle(theta, period):
+    # a double frequency: the seed plane is one LAPACK eigenvector pair of
+    # the resonant eigenspace, and every direction in it reaches an orbit
+    settings = pb.SolverSettings(two_segment_fallback=False)
+    problem = pb.orbit_problem(rotated_oscillator(theta), np.zeros(4), 1.0, 0.2, settings)
+    for j in range(8):
+        orbit = pb.solve_orbit(problem, seed_angle=TWO_PI * j / 8)
+        assert orbit.period == pytest.approx(period, rel=1e-8)
+        assert orbit.closure_residual <= settings.tol_orbit
+
+
+def _rigid_seed_solve(rigid_bundle, rigid_e1, eps, **settings):
+    settings = pb.SolverSettings(two_segment_fallback=False, **settings)
+    problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, eps, settings)
+    with pytest.raises(pb.OrbitSolveError) as info:
+        pb.solve_orbit(problem)
+    return info.value
+
+
+def test_infeasible_offset_fails_as_period_collapsed(rigid_bundle, rigid_e1):
+    error = _rigid_seed_solve(rigid_bundle, rigid_e1, 5.0)
+    assert str(error).startswith("period collapsed")
+    assert error.last_residual == pytest.approx(22.899, rel=1e-4)
+
+
+def test_iteration_limit_fails_as_no_convergence(rigid_bundle, rigid_e1):
+    error = _rigid_seed_solve(rigid_bundle, rigid_e1, 0.3, max_iter=1)
+    assert str(error).startswith("no convergence after 1 iterations")
+    assert error.last_residual == pytest.approx(6.4516e-3, rel=1e-4)
+
+
+def test_integrator_failure_is_reported_by_the_solve(rigid_bundle, rigid_e1):
+    error = _rigid_seed_solve(rigid_bundle, rigid_e1, 0.3, ode=pb.ToleranceSettings(max_steps=2))
+    assert str(error) == "integration failed during shooting: max steps exceeded (2)"
+    assert error.last_residual is None
