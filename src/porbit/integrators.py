@@ -2,7 +2,12 @@
 
 Trajectories and flow maps (:func:`integrate`, :func:`flow`) use an embedded
 Dormand-Prince 5(4) pair with a PI step-size controller (safety 0.9,
-exponents 0.7 and 0.4 over the order). The shooting hot path,
+exponents 0.7 and 0.4 over the order). Each step is one straight-line
+function of Python floats that the field generates from its term lists
+(:meth:`PolynomialVectorField.dp5_step`); the loop around it keeps floats
+too and stores accepted states in flat ``array("d")`` buffers, because numpy
+calls on arrays of length 3 or 6 cost more than the arithmetic. The shooting
+hot path,
 :func:`flow_with_monodromy` and so :func:`monodromy`, integrates the state and
 its fundamental matrix by Taylor series instead: the fields are polynomial,
 so Cauchy products give the Taylor coefficients of both exactly (jet
@@ -17,6 +22,8 @@ keeping a single forward-time code path in each.
 from __future__ import annotations
 
 import math
+from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,21 +31,6 @@ import numpy as np
 from .errors import IntegrationError
 from .poly import PolynomialVectorField
 
-# Dormand-Prince 5(4) tableau. _E is the difference between the fifth- and
-# fourth-order weights, giving the local error estimate directly.
-_A = (
-    np.array([], dtype=float),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
 _ORDER = 5
 _SAFETY = 0.9
 _EXP_ERR = 0.7 / _ORDER
@@ -86,8 +78,16 @@ class ToleranceSettings:
 
 @dataclass(frozen=True)
 class StepStats:
+    """Step counts of one integration.
+
+    ``rhs_evals`` counts field evaluations: 6 per attempted DP5 step, plus one
+    for the starting derivative and one for the starting-step probe when
+    ``h_init`` is None.
+    """
+
     accepted: int
     rejected: int
+    rhs_evals: int = 0
 
 
 @dataclass(frozen=True)
@@ -106,24 +106,29 @@ class Trajectory:
 def write_states_csv(times, states, target):
     """Write ``t,x1,...,xn`` rows; ``target`` is a path or a file object."""
     n = states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-    lines = [header]
-    for t, row in zip(times, states):
-        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as fh:
-            fh.write(text)
+    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n"
+    line = ",".join(["{!r}"] * (n + 1)) + "\n"
+    # row by row, so no second copy of the states is held as Python floats
+    times = np.asarray(times, dtype=float).tolist()
+    rows = (line.format(t, *row) for t, row in zip(times, map(np.ndarray.tolist, states)))
+    with open(target, "w") if not hasattr(target, "write") else nullcontext(target) as fh:
+        fh.write(header)
+        fh.writelines(rows)
 
 
 def _initial_step(rhs, y0, f0, settings: ToleranceSettings) -> float:
-    """Conservative starting step from the local scale of y and f."""
+    """Conservative starting step from the local scale of y and f.
+
+    Returns 0 when (f0 / scale)**2 overflows, so the caller's h_min check
+    reports the step underflow.
+    """
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    with np.errstate(over="ignore"):
+        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:
+        return 0.0
     y1 = y0 + h0 * f0
     f1 = rhs(y1)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
@@ -134,50 +139,57 @@ def _initial_step(rhs, y0, f0, settings: ToleranceSettings) -> float:
     return min(100.0 * h0, h1, settings.h_max)
 
 
-def _advance(rhs, y0, t_end, settings: ToleranceSettings, collect: bool):
-    """Integrate dy/dt = rhs(y) from 0 to t_end > 0."""
-    y = np.array(y0, dtype=float)
-    dim = y.size
+def _dp5(field: PolynomialVectorField, x, t_end: float, settings: ToleranceSettings, collect: bool):
+    """Integrate x' = f(x) over |t_end| > 0, with -f when t_end < 0.
+
+    One float loop around the field's generated step: the PI controller, the
+    FSAL reuse of the last stage and the step checks. Returns a
+    :class:`Trajectory` when ``collect``, else the final state and the
+    :class:`StepStats`.
+    """
+    f = field.compiled()
+    step = field.dp5_step(reverse=t_end < 0)
+    rhs = f if t_end > 0 else lambda v: -f(v)
+    y0 = np.array(x, dtype=float)
+    dim = y0.size
+    f0 = rhs(y0)
+    if settings.h_init is None:
+        h, evals = _initial_step(rhs, y0, f0, settings), 2
+    else:
+        h, evals = settings.h_init, 1
+    t_end = abs(t_end)
+    atol, rtol, h_min, h_max = settings.abs_tol, settings.rel_tol, settings.h_min, settings.h_max
+    h = min(h, t_end, h_max)
+    y, k = tuple(y0.tolist()), tuple(f0.tolist())
     t = 0.0
-    ts = [0.0]
-    ys = [y.copy()]
+    ts, ys = array("d", [t]), array("d", y)
     accepted = 0
     rejected = 0
-
-    f0 = rhs(y)
-    h = settings.h_init if settings.h_init is not None else _initial_step(rhs, y, f0, settings)
-    h = min(h, t_end, settings.h_max)
     err_prev = 1.0
-    k = np.empty((7, dim))
-    k[0] = f0  # FSAL: stage 7 of an accepted step seeds stage 1 of the next
 
     while t < t_end:
         if accepted + rejected >= settings.max_steps:
             raise IntegrationError(f"max steps exceeded ({settings.max_steps})")
-        if h < settings.h_min:
+        if not h >= h_min:  # also catches a NaN step
             raise IntegrationError(f"step underflow: h = {h:.3e} at t = {t:.6g}")
         h = min(h, t_end - t)
 
-        for i in range(1, 7):
-            k[i] = rhs(y + h * (_A[i] @ k[:i]))
-        y_new = y + h * (_B5 @ k)
-        err_vec = h * (_E @ k)
-        scale = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        with np.errstate(invalid="ignore", over="ignore"):
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if not np.isfinite(err):
+        try:
+            y_new, k_new, err = step(y, k, h, atol, rtol)
+        except OverflowError:
+            err = 2.0  # a stage overflowed: reject and shrink
+        if not math.isfinite(err):
             err = 2.0  # forces rejection and shrink
 
         if err <= 1.0:
             t += h
-            y = y_new
-            if not np.all(np.isfinite(y)):
+            y, k = y_new, k_new  # FSAL: the last stage seeds the next step
+            if not all(map(math.isfinite, y)):
                 raise IntegrationError(f"non-finite state at t = {t:.6g}")
             accepted += 1
             if collect:
                 ts.append(t)
-                ys.append(y.copy())
-            k[0] = k[6]  # FSAL
+                ys.extend(y)
             err = max(err, 1e-10)
             factor = _SAFETY * err ** (-_EXP_ERR) * err_prev ** _EXP_PREV
             err_prev = err
@@ -185,12 +197,12 @@ def _advance(rhs, y0, t_end, settings: ToleranceSettings, collect: bool):
             rejected += 1
             factor = max(_MIN_SHRINK, _SAFETY * err ** (-1.0 / _ORDER))
             factor = min(factor, 1.0)
-        h = min(h * min(max(factor, _MIN_SHRINK), _MAX_GROWTH), settings.h_max)
+        h = min(h * min(max(factor, _MIN_SHRINK), _MAX_GROWTH), h_max)
 
-    stats = StepStats(accepted, rejected)
+    stats = StepStats(accepted, rejected, evals + 6 * (accepted + rejected))
     if collect:
-        return Trajectory(np.array(ts), np.array(ys), stats)
-    return y, stats
+        return Trajectory(np.frombuffer(ts), np.frombuffer(ys).reshape(-1, dim), stats)
+    return np.array(y), stats
 
 
 def integrate(
@@ -206,7 +218,7 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite")
-    return _advance(field.compiled(), x0, float(t_end), settings, collect=True)
+    return _dp5(field, x0, float(t_end), settings, collect=True)
 
 
 def flow(
@@ -220,9 +232,7 @@ def flow(
     x = np.asarray(x, dtype=float)
     if T == 0.0:
         return x.copy()
-    f = field.compiled()
-    rhs = f if T > 0 else lambda y: -f(y)
-    y, _ = _advance(rhs, x, abs(float(T)), settings, collect=False)
+    y, _ = _dp5(field, x, float(T), settings, collect=False)
     return y
 
 

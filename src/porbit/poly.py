@@ -11,10 +11,11 @@ numerics and no code is generated per call; finite differences exist only as
 an independent cross-check in the tests. The Taylor-series integrator reads
 the same field arrays.
 
-Only the DP5 loops (`integrate`, `flow` and the shooting residual) use a
-plain Python function generated once per field from the term lists
-(`compiled`); `compiled_jacobian` is its Jacobian counterpart, kept for
-callers outside the package.
+The DP5 integrator (`integrate`, `flow`) and the shooting phase condition
+use plain Python code generated from the term lists: `compiled` evaluates
+the field, and `dp5_step` is one whole Dormand-Prince step as a
+straight-line function of floats. `compiled_jacobian` is the Jacobian
+counterpart of `compiled`, kept for callers outside the package.
 """
 
 from __future__ import annotations
@@ -242,12 +243,63 @@ def _poly_expr(p: Polynomial) -> str:
     return " + ".join(_term_expr(c, e) for c, e in p.terms)
 
 
+def _array_body(n: int, items) -> list[str]:
+    """Body of x -> np.array([items]) with x unpacked into x0, x1, ..."""
+    return [f"x{i} = x[{i}]" for i in range(n)] + [f"return _np.array([{', '.join(items)}])"]
+
+
+# Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
+# section II.5). The last row of _DP5_A is the fifth-order weights, so the
+# last stage is evaluated at the new state and seeds the next step (FSAL);
+# _DP5_E is the fifth- minus the fourth-order weights, the error estimate.
+_DP5_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP5_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _weighted(weights, j: int) -> str:
+    """Source of sum_i weights[i] * k{i}_{j} over the nonzero weights."""
+    return " + ".join(f"({w!r})*k{i}_{j}" for i, w in enumerate(weights) if w != 0.0)
+
+
+def _dp5_body(exprs) -> list[str]:
+    """Body of step(y, k, h, atol, rtol) for the field with component sources
+    ``exprs`` in x0, x1, ...
+
+    Stage i's derivative is k{i}_0, k{i}_1, ...; each stage first sets every
+    x{j} to its input state, so after the last stage x{j} holds the new
+    state.
+    """
+    n = len(exprs)
+    ys = ", ".join(f"y{j}" for j in range(n))
+    lines = [f"{ys}, = y", f"{', '.join(f'k0_{j}' for j in range(n))}, = k"]
+    for i, row in enumerate(_DP5_A, start=1):
+        lines += [f"x{j} = y{j} + h * ({_weighted(row, j)})" for j in range(n)]
+        lines += [f"k{i}_{j} = {expr}" for j, expr in enumerate(exprs)]
+    lines += [
+        f"e{j} = h * ({_weighted(_DP5_E, j)}) / (atol + rtol * max(abs(y{j}), abs(x{j})))"
+        for j in range(n)
+    ]
+    new = ", ".join(f"x{j}" for j in range(n))
+    last = ", ".join(f"k{len(_DP5_A)}_{j}" for j in range(n))
+    squares = " + ".join(f"e{j} * e{j}" for j in range(n))
+    lines.append(f"return ({new},), ({last},), _sqrt(({squares}) / {n})")
+    return lines
+
+
 class PolynomialVectorField:
     """Autonomous vector field whose components are :class:`Polynomial`.
 
     Calling the field evaluates the right-hand side from its coefficient
-    arrays; ``compiled()`` returns a generated plain-Python closure for the
-    DP5 inner loops, and ``compiled_jacobian()`` its Jacobian counterpart.
+    arrays; ``compiled()`` returns a generated plain-Python closure of x,
+    ``compiled_jacobian()`` its Jacobian counterpart, and ``dp5_step()`` one
+    generated Dormand-Prince step.
     """
 
     def __init__(self, components: Sequence[Polynomial]):
@@ -266,6 +318,7 @@ class PolynomialVectorField:
         self._f = None
         self._jac_polys = None
         self._jac = None
+        self._steps = {}
         self._arrays = None
 
     @classmethod
@@ -304,7 +357,8 @@ class PolynomialVectorField:
     def compiled(self):
         """Function x -> ndarray(n) generated from the term lists."""
         if self._f is None:
-            self._f = self._generate([_poly_expr(p) for p in self.components], "field")
+            items = [_poly_expr(p) for p in self.components]
+            self._f = self._generate("x", _array_body(self.dimension, items), "field")
         return self._f
 
     def compiled_jacobian(self):
@@ -314,8 +368,26 @@ class PolynomialVectorField:
                 "[" + ", ".join(_poly_expr(p) for p in row) + "]"
                 for row in self.jacobian_polys()
             ]
-            self._jac = self._generate(rows, "jacobian")
+            self._jac = self._generate("x", _array_body(self.dimension, rows), "jacobian")
         return self._jac
+
+    def dp5_step(self, reverse: bool = False):
+        """One Dormand-Prince 5(4) step as a generated function of floats.
+
+        ``step(y, k, h, atol, rtol)`` takes the state y and the field's value
+        k there, as sequences of floats, and returns ``(y_new, k_new, err)``:
+        the fifth-order state after time h, the field's value at it (first
+        same as last), and the root mean square of the local error estimate
+        divided by ``atol + rtol * max(|y|, |y_new|)``. ``reverse`` steps the
+        negated field, whose terms are exact negations. Generated on first
+        use and cached per sign. A stage whose power overflows raises
+        ``OverflowError``.
+        """
+        if reverse not in self._steps:
+            comps = [-p for p in self.components] if reverse else self.components
+            self._steps[reverse] = self._generate(
+                "y, k, h, atol, rtol", _dp5_body([_poly_expr(p) for p in comps]), "dp5")
+        return self._steps[reverse]
 
     def coefficient_arrays(self) -> tuple[np.ndarray, ...]:
         """Dense coefficients ``(c, A, B, ...)``, one array per degree.
@@ -337,11 +409,11 @@ class PolynomialVectorField:
             self._arrays = tuple(arrays)
         return self._arrays
 
-    def _generate(self, items, label: str):
-        """Compile x -> np.array([items]) with x unpacked into x0, x1, ..."""
-        unpack = "\n".join(f"    x{i} = x[{i}]" for i in range(self.dimension))
-        src = f"def _fn(x):\n{unpack}\n    return _np.array([{', '.join(items)}])\n"
-        ns = {"_np": np}
+    @staticmethod
+    def _generate(params: str, body, label: str):
+        """Compile ``def _fn(params)`` with the given body lines."""
+        src = f"def _fn({params}):\n" + "".join(f"    {line}\n" for line in body)
+        ns = {"_np": np, "_sqrt": math.sqrt}
         exec(compile(src, f"<porbit-{label}>", "exec"), ns)
         return ns["_fn"]
 

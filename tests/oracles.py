@@ -4,8 +4,9 @@ Central finite differences on plain evaluations cross-check the exact
 Jacobians, gradients and Hessians, and term-wise differentiation of the
 monomial lists cross-checks them to round-off, as does the product-of-
 polynomials expansion of grad(Q) . X the conservation test; fixed-step
-classical RK4 cross-checks the adaptive integrator, and DP5 on the augmented
-variational system cross-checks the Taylor monodromy. An inline 1:1
+classical RK4 cross-checks the adaptive integrator, a numpy Dormand-Prince
+step cross-checks the generated one, and DP5 `flow` on the augmented
+polynomial field (x, Phi) cross-checks the Taylor monodromy. An inline 1:1
 resonant oscillator, in a rotated frame, exercises shooting at a resonance.
 """
 
@@ -13,11 +14,32 @@ import math
 
 import numpy as np
 
-from porbit import ConservedQuantity, StepStats, SystemBundle, ToleranceSettings, Trajectory
-from porbit.integrators import _advance
+from porbit import (
+    ConservedQuantity,
+    StepStats,
+    SystemBundle,
+    ToleranceSettings,
+    Trajectory,
+    flow,
+)
 from porbit.poly import Polynomial, PolynomialVectorField
 
 DEFAULT_FD_STEP = 1e-5
+
+# Dormand-Prince 5(4) tableau; _E is the fifth- minus fourth-order weights
+_A = (
+    np.array([], dtype=float),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+)
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
 
 
 def _poly_of(q):
@@ -127,15 +149,60 @@ def rk4_fixed(field: PolynomialVectorField, x0, t_end: float, n_steps: int) -> T
     return Trajectory(np.array(ts), np.array(ys), StepStats(n_steps, 0))
 
 
+def dp5_step(rhs, y, k1, h: float, abs_tol: float, rel_tol: float):
+    """One Dormand-Prince 5(4) step in numpy stage arithmetic.
+
+    Returns the fifth-order state, the last stage (the field at that state)
+    and the RMS of the error estimate scaled by abs_tol + rel_tol * max(|y|,
+    |y_new|), the contract of ``PolynomialVectorField.dp5_step``; then the
+    same RMS of h * (|E| @ |k|). The weights E sum to zero, so the error
+    estimate cancels, and its round-off is relative to that last value.
+    """
+    y = np.asarray(y, dtype=float)
+    k = np.empty((7, y.size))
+    k[0] = k1
+    for i in range(1, 7):
+        k[i] = rhs(y + h * (_A[i] @ k[:i]))
+    y_new = y + h * (_B5 @ k)
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+    err = float(np.sqrt(np.mean((h * (_E @ k) / scale) ** 2)))
+    err_size = float(np.sqrt(np.mean((h * (np.abs(_E) @ np.abs(k)) / scale) ** 2)))
+    return y_new, k[6], err, err_size
+
+
+def variational_field(field: PolynomialVectorField) -> PolynomialVectorField:
+    """The field (f(x), J(x) Phi) in the n + n**2 variables (x, Phi).
+
+    Phi is stored row by row after x, and J's entries are the term-wise
+    partial derivatives of f's components.
+    """
+    n = field.dimension
+    size = n + n * n
+
+    def lifted(p, factor=None):
+        # p's terms in the augmented variables, times variable `factor`
+        terms = []
+        for c, e in p.terms:
+            e = list(e) + [0] * (n * n)
+            if factor is not None:
+                e[factor] += 1
+            terms.append((c, e))
+        return terms
+
+    comps = [Polynomial(size, lifted(p)) for p in field.components]
+    for a in range(n):
+        partials = [field.components[a].differentiate(c) for c in range(n)]
+        for b in range(n):
+            terms = [t for c in range(n) for t in lifted(partials[c], n + c * n + b)]
+            comps.append(Polynomial(size, terms))
+    return PolynomialVectorField(comps)
+
+
 def dp5_monodromy(field: PolynomialVectorField, x, t_end: float, tol: float):
-    """Flow and fundamental matrix from DP5 on the augmented system."""
-    f, jac, n = field.compiled(), field.compiled_jacobian(), field.dimension
-
-    def rhs(y):
-        return np.concatenate((f(y[:n]), (jac(y[:n]) @ y[n:].reshape(n, n)).ravel()))
-
+    """Flow and fundamental matrix from DP5 `flow` on the augmented field."""
+    n = field.dimension
     settings = ToleranceSettings(abs_tol=tol, rel_tol=tol)
-    y, _ = _advance(rhs, np.concatenate((x, np.eye(n).ravel())), t_end, settings, collect=False)
+    y = flow(variational_field(field), np.concatenate((x, np.eye(n).ravel())), t_end, settings)
     return y[:n], y[n:].reshape(n, n)
 
 

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.linalg import expm
 import porbit as pb
 from porbit.poly import Polynomial, PolynomialVectorField
 
-from oracles import dp5_monodromy, rk4_fixed
+from oracles import dp5_monodromy, dp5_step, rk4_fixed
 
 HARMONIC = PolynomialVectorField.linear([[0.0, 1.0], [-1.0, 0.0]])
 TWO_PI = 2.0 * np.pi
@@ -175,6 +176,73 @@ def test_blowup_raises():
         pb.flow(field, [1.0], 2.0)
 
 
+# x' = x^3 from x0 escapes at t = 1 / (2 x0^2)
+CUBIC = PolynomialVectorField([Polynomial(1, [(1.0, (3,))])])
+
+
+@pytest.mark.parametrize("entry", [pb.integrate, pb.flow])
+@pytest.mark.parametrize(
+    "x0, h_init, message",
+    [
+        # (f0 / scale)**2 overflows, so the starting step is 0
+        (1e90, None, "step underflow: h = 0.000e+00 at t = 0"),
+        (1e100, None, "step underflow: h = 0.000e+00 at t = 0"),
+        # every stage power overflows; each attempt is a rejected step
+        (1e100, 1.0, "step underflow: h = 9.257e-14 at t = 0"),
+    ],
+)
+def test_overflow_ends_in_step_underflow(entry, x0, h_init, message):
+    with pytest.raises(pb.IntegrationError, match=re.escape(message)):
+        entry(CUBIC, [x0], 1.0, pb.ToleranceSettings(h_init=h_init))
+
+
+def test_rhs_evals_count_six_per_attempted_step():
+    traj = pb.integrate(HARMONIC, [1.0, 0.0], TWO_PI)
+    stats = traj.stats
+    assert stats.rhs_evals == 2 + 6 * (stats.accepted + stats.rejected)
+    traj = pb.integrate(HARMONIC, [1.0, 0.0], TWO_PI, pb.ToleranceSettings(h_init=1.0))
+    stats = traj.stats
+    assert stats.rejected > 0
+    assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
+
+
+# a field with constant and linear terms next to a quadratic one
+AFFINE = PolynomialVectorField.from_terms(
+    3,
+    [
+        [(0.5, (0, 0, 0)), (-1.0, (0, 1, 0))],
+        [(1.0, (1, 0, 0)), (0.25, (0, 0, 1)), (-0.75, (1, 1, 0))],
+        [(-0.3, (0, 0, 0)), (2.0, (0, 0, 1))],
+    ],
+)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", ["rigid", "clebsch", "duffing", "affine"])
+def test_generated_step_matches_numpy_stages(
+    case, reverse, rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1
+):
+    field, y = {
+        "rigid": (rigid_bundle.field, rigid_e1 + np.array([0.0, 0.05, -0.03])),
+        "clebsch": (
+            clebsch_bundle.field,
+            clebsch_e1 + np.array([0.0, 0.03, 0.02, 0.0, 0.02, -0.01]),
+        ),
+        "duffing": (DUFFING, np.array([0.9, -0.4])),
+        "affine": (AFFINE, np.array([0.3, -1.2, 0.7])),
+    }[case]
+    f = field.compiled()
+    rhs = (lambda v: -f(v)) if reverse else f
+    k1 = rhs(y)
+    step = field.dp5_step(reverse)
+    for h in (0.01, 0.05, 0.4):
+        y_new, k_new, err = step(y.tolist(), k1.tolist(), h, 1e-12, 1e-12)
+        y_ref, k_ref, err_ref, err_size = dp5_step(rhs, y, k1, h, 1e-12, 1e-12)
+        assert np.max(np.abs(np.subtract(y_new, y_ref))) <= 1e-14 * np.max(np.abs(y_ref))
+        assert np.max(np.abs(np.subtract(k_new, k_ref))) <= 1e-14 * np.max(np.abs(k_ref))
+        assert abs(err - err_ref) <= 1e-14 * err_size
+
+
 def test_settings_validation():
     with pytest.raises(ValueError):
         pb.ToleranceSettings(abs_tol=0.0)
@@ -200,3 +268,5 @@ def test_csv_export(rigid_bundle, rigid_e1):
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
     np.testing.assert_array_equal(first[1:], traj.states[0])
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(rows, np.column_stack((traj.times, traj.states)))
