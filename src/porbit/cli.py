@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -215,8 +216,8 @@ def cmd_integrate(args) -> int:
     out = _ensure_out(args)
     bundle = bundle_from_config(cfg)
     x0 = _resolve_equilibrium(bundle, cfg)
-    if args.t_end is None or args.t_end <= 0:
-        raise ConfigError("--t-end must be a positive time")
+    if args.t_end is None or not 0 < args.t_end < math.inf:
+        raise ConfigError("--t-end must be a positive finite time")
     perturbation = cfg.get("perturbation")
     if perturbation is not None:
         delta = np.asarray(perturbation, dtype=float)

@@ -15,8 +15,9 @@ transport; Jorba and Zou, Exp. Math. 14 (2005) 99-117), and one high-order
 step spans a sizeable fraction of a period. The systems here are small and
 non-stiff, so no implicit or symplectic machinery is provided; conservation
 is monitored by :func:`drift_report` at tight tolerances instead. Negative
-time negates the right-hand side (DP5) or the coefficient arrays (Taylor),
-keeping a single forward-time code path in each.
+time is the sign of the step: both integrators control the step's size and
+pass it signed to the step or the Taylor sum. Round-to-nearest is symmetric
+in sign, so this gives bit for bit what the negated field gives forwards.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class ToleranceSettings:
     h_max: float = math.inf
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.h_min <= 0 or self.h_max <= 0:
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not (self.h_min > 0 and self.h_max > 0):
             raise ValueError("step bounds must be positive")
         if self.h_init is not None and not (self.h_min <= self.h_init <= self.h_max):
             raise ValueError("need h_min <= h_init <= h_max")
@@ -116,10 +117,11 @@ def write_states_csv(times, states, target):
         fh.writelines(rows)
 
 
-def _initial_step(rhs, y0, f0, settings: ToleranceSettings) -> float:
-    """Conservative starting step from the local scale of y and f.
+def _initial_step(rhs, y0, f0, direction: float, settings: ToleranceSettings) -> float:
+    """Conservative starting step size from the local scale of y and f.
 
-    Returns 0 when (f0 / scale)**2 overflows, so the caller's h_min check
+    The probe step goes in the given time ``direction`` (+1 or -1). Returns
+    0 when (f0 / scale)**2 overflows, so the caller's h_min check
     reports the step underflow.
     """
     scale = settings.abs_tol + settings.rel_tol * np.abs(y0)
@@ -129,7 +131,7 @@ def _initial_step(rhs, y0, f0, settings: ToleranceSettings) -> float:
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if h0 == 0.0:
         return 0.0
-    y1 = y0 + h0 * f0
+    y1 = y0 + (direction * h0) * f0
     f1 = rhs(y1)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
@@ -140,21 +142,22 @@ def _initial_step(rhs, y0, f0, settings: ToleranceSettings) -> float:
 
 
 def _dp5(field: PolynomialVectorField, x, t_end: float, settings: ToleranceSettings, collect: bool):
-    """Integrate x' = f(x) over |t_end| > 0, with -f when t_end < 0.
+    """Integrate x' = f(x) from 0 to t_end != 0.
 
     One float loop around the field's generated step: the PI controller, the
-    FSAL reuse of the last stage and the step checks. Returns a
+    FSAL reuse of the last stage and the step checks. ``t`` and ``h`` are
+    magnitudes; the step runs at ``direction * h``. Returns a
     :class:`Trajectory` when ``collect``, else the final state and the
     :class:`StepStats`.
     """
     f = field.compiled()
-    step = field.dp5_step(reverse=t_end < 0)
-    rhs = f if t_end > 0 else lambda v: -f(v)
+    step = field.dp5_step()
+    direction = math.copysign(1.0, t_end)
     y0 = np.array(x, dtype=float)
     dim = y0.size
-    f0 = rhs(y0)
+    f0 = f(y0)
     if settings.h_init is None:
-        h, evals = _initial_step(rhs, y0, f0, settings), 2
+        h, evals = _initial_step(f, y0, f0, direction, settings), 2
     else:
         h, evals = settings.h_init, 1
     t_end = abs(t_end)
@@ -175,7 +178,7 @@ def _dp5(field: PolynomialVectorField, x, t_end: float, settings: ToleranceSetti
         h = min(h, t_end - t)
 
         try:
-            y_new, k_new, err = step(y, k, h, atol, rtol)
+            y_new, k_new, err = step(y, k, direction * h, atol, rtol)
         except OverflowError:
             err = 2.0  # a stage overflowed: reject and shrink
         if not math.isfinite(err):
@@ -212,8 +215,8 @@ def integrate(
     settings: ToleranceSettings | None = None,
 ) -> Trajectory:
     """Adaptive integration storing every accepted step."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive; use flow() for reversed time")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite; use flow() for reversed time")
     settings = settings or ToleranceSettings()
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
@@ -227,7 +230,9 @@ def flow(
     T: float,
     settings: ToleranceSettings | None = None,
 ) -> np.ndarray:
-    """Time-T map of the field; negative T integrates the negated field."""
+    """Time-T map of the field; negative T runs time backwards."""
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     settings = settings or ToleranceSettings()
     x = np.asarray(x, dtype=float)
     if T == 0.0:
@@ -290,15 +295,17 @@ def _jets(arrays, x, p: int):
 
 
 def _taylor_advance(arrays, x, t_end: float, settings: ToleranceSettings):
-    """Flow and fundamental matrix from 0 to t_end > 0 by Taylor steps.
+    """Flow and fundamental matrix from 0 to t_end != 0 by Taylor steps.
 
-    The step is Jorba and Zou's: the smallest radius (tol / |c_j|)**(1/j)
+    The step size is Jorba and Zou's: the smallest radius (tol / |c_j|)**(1/j)
     over the last two coefficients c_j of both series, shrunk by
     exp(-0.7 / (p - 1)). Taylor steps are never rejected. The state and the
-    step's fundamental matrix are summed by Horner's rule, and the matrices
-    are composed step by step.
+    step's fundamental matrix are summed by Horner's rule at the signed
+    step, and the matrices are composed step by step.
     """
     n = x.size
+    direction = math.copysign(1.0, t_end)
+    t_end = abs(t_end)
     p = _taylor_order(settings)
     safety = math.exp(-0.7 / (p - 1))
     exps = np.array([1.0 / (p - 1), 1.0 / p] * 2)
@@ -321,8 +328,9 @@ def _taylor_advance(arrays, x, t_end: float, settings: ToleranceSettings):
             h = min(h, t_end - t)
             coeffs = np.concatenate((X, R[::-1].reshape(p + 1, -1)), axis=1)
             y = coeffs[p]
+            signed = direction * h
             for c in coeffs[p - 1 :: -1]:
-                y = y * h + c
+                y = y * signed + c
             t += h
             steps += 1
             x = y[:n]
@@ -343,17 +351,15 @@ def flow_with_monodromy(
     Both come from Taylor jets of the polynomial field (Jorba and Zou 2005):
     ``abs_tol`` and ``rel_tol`` bound the local Taylor error, ``max_steps``,
     ``h_min`` and ``h_max`` bound the steps, and ``h_init`` has no effect.
-    Negative T integrates with the negated coefficient arrays.
+    Negative T runs time backwards.
     """
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     settings = settings or ToleranceSettings()
     x = np.asarray(x, dtype=float)
-    n = field.dimension
     if T == 0.0:
-        return x.copy(), np.eye(n)
-    arrays = field.coefficient_arrays()
-    if T < 0:
-        arrays = tuple(-a for a in arrays)
-    return _taylor_advance(arrays, x, abs(float(T)), settings)
+        return x.copy(), np.eye(field.dimension)
+    return _taylor_advance(field.coefficient_arrays(), x, float(T), settings)
 
 
 def monodromy(

@@ -5,9 +5,9 @@ point x and the period T, and the residual stacks the closure gap
 phi_T(x) - x, the level offsets Q(x) - Q(x0) of every constraint and of the
 integral (whose target carries the extra eps^2), and a phase condition
 anchored at the starting point. No local coordinates on the level set are
-built; the consistent overdetermined least-squares step is solved by a
-truncated SVD, and an orbit is accepted only when every residual entry is
-below tolerance. The flow and its monodromy come from the Taylor integrator,
+built; the consistent overdetermined least-squares step is LAPACK's
+truncated-SVD least squares, and an orbit is accepted only when every
+residual entry is below tolerance. The flow and its monodromy come from the Taylor integrator,
 which also samples converged orbits.
 
 Seeding comes from the linearization: the guess sits in the oscillation
@@ -43,6 +43,8 @@ FALLBACK_RUNGS = 16  # rungs eps * j / FALLBACK_RUNGS climbed when a seed solve 
 class SolverSettings:
     """Shooting tolerances and iteration limits.
 
+    ``svd_cutoff`` is the ``rcond`` of the Gauss-Newton least-squares step:
+    singular values s <= svd_cutoff * max(s) are dropped.
     ``two_segment_fallback`` keeps its historical name: when set, a solve
     from the linearization seed that fails is retried by continuation from
     below (see :func:`solve_orbit`); there is no two-segment solver any more.
@@ -53,6 +55,14 @@ class SolverSettings:
     svd_cutoff: float = 1e-10
     ode: ToleranceSettings = field(default_factory=ToleranceSettings)
     two_segment_fallback: bool = True
+
+    def __post_init__(self):
+        if not 0 < self.tol_orbit < math.inf:
+            raise ValueError("tol_orbit must be positive and finite")
+        if not 0 <= self.svd_cutoff < math.inf:  # lstsq reads a negative rcond as eps
+            raise ValueError("svd_cutoff must be nonnegative and finite")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -190,16 +200,6 @@ def initial_guess(problem: OrbitProblem, angle: float = 0.0) -> tuple[np.ndarray
     )
 
 
-def _svd_step(jac: np.ndarray, residual: np.ndarray, cutoff: float) -> np.ndarray:
-    u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    keep = s > cutoff * smax
-    coeffs = u.T @ residual
-    weights = np.zeros_like(s)
-    weights[keep] = coeffs[keep] / s[keep]
-    return -(vt.T @ weights)
-
-
 def solve_orbit(
     problem: OrbitProblem,
     x_init=None,
@@ -256,7 +256,7 @@ def _shoot(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
     """
     bundle = problem.bundle
     settings = problem.settings
-    f = bundle.field.compiled()
+    f = bundle.field
     n = bundle.dimension
     quantities = bundle.constraints + (bundle.integral,)
     targets = [q.value(problem.equilibrium) for q in quantities]
@@ -297,7 +297,7 @@ def _shoot(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
             jac[n + i, :n] = q.gradient(x)
         jac[n + m, :n] = phase_dir
 
-        step = _svd_step(jac, residual, settings.svd_cutoff)
+        step = np.linalg.lstsq(jac, -residual, rcond=settings.svd_cutoff)[0]
         x = x + step[:n]
         T = T + step[n]
         if not np.all(np.isfinite(x)):

@@ -8,14 +8,14 @@ indices (`coefficient_arrays`); a field stacks those of its components.
 Field values, gradients, Hessians and Jacobians are contractions of these
 arrays with x (`derivative_at`), so derivative error never enters the
 numerics and no code is generated per call; finite differences exist only as
-an independent cross-check in the tests. The Taylor-series integrator reads
-the same field arrays.
+an independent cross-check in the tests. The Taylor-series integrator and
+the shooting read the same field arrays.
 
-The DP5 integrator (`integrate`, `flow`) and the shooting phase condition
-use plain Python code generated from the term lists: `compiled` evaluates
-the field, and `dp5_step` is one whole Dormand-Prince step as a
-straight-line function of floats. `compiled_jacobian` is the Jacobian
-counterpart of `compiled`, kept for callers outside the package.
+Plain Python code generated from the term lists serves the DP5 integrator
+(`integrate`, `flow`) and callers outside the package: `dp5_step` is one
+whole Dormand-Prince step as a straight-line function of floats, `compiled`
+evaluates the field (DP5's starting derivative) and `compiled_jacobian` is
+its Jacobian counterpart, used only outside the package.
 """
 
 from __future__ import annotations
@@ -297,9 +297,10 @@ class PolynomialVectorField:
     """Autonomous vector field whose components are :class:`Polynomial`.
 
     Calling the field evaluates the right-hand side from its coefficient
-    arrays; ``compiled()`` returns a generated plain-Python closure of x,
-    ``compiled_jacobian()`` its Jacobian counterpart, and ``dp5_step()`` one
-    generated Dormand-Prince step.
+    arrays, as the Taylor integrator and the shooting do. The generated code
+    serves DP5 and outside callers: ``dp5_step()`` is one Dormand-Prince
+    step, ``compiled()`` a plain-Python closure of x and
+    ``compiled_jacobian()`` its Jacobian counterpart.
     """
 
     def __init__(self, components: Sequence[Polynomial]):
@@ -316,9 +317,8 @@ class PolynomialVectorField:
         self.dimension = dim
         self.components = components
         self._f = None
-        self._jac_polys = None
         self._jac = None
-        self._steps = {}
+        self._step = None
         self._arrays = None
 
     @classmethod
@@ -344,14 +344,6 @@ class PolynomialVectorField:
     def __call__(self, x) -> np.ndarray:
         return derivative_at(self.coefficient_arrays(), x, 0)
 
-    def jacobian_polys(self) -> tuple[tuple[Polynomial, ...], ...]:
-        if self._jac_polys is None:
-            self._jac_polys = tuple(
-                tuple(p.differentiate(j) for j in range(self.dimension))
-                for p in self.components
-            )
-        return self._jac_polys
-
     # -- code generation -----------------------------------------------------
 
     def compiled(self):
@@ -364,30 +356,29 @@ class PolynomialVectorField:
     def compiled_jacobian(self):
         """Function x -> ndarray(n, n) evaluating the exact Jacobian."""
         if self._jac is None:
+            n = self.dimension
             rows = [
-                "[" + ", ".join(_poly_expr(p) for p in row) + "]"
-                for row in self.jacobian_polys()
+                "[" + ", ".join(_poly_expr(p.differentiate(j)) for j in range(n)) + "]"
+                for p in self.components
             ]
-            self._jac = self._generate("x", _array_body(self.dimension, rows), "jacobian")
+            self._jac = self._generate("x", _array_body(n, rows), "jacobian")
         return self._jac
 
-    def dp5_step(self, reverse: bool = False):
+    def dp5_step(self):
         """One Dormand-Prince 5(4) step as a generated function of floats.
 
         ``step(y, k, h, atol, rtol)`` takes the state y and the field's value
         k there, as sequences of floats, and returns ``(y_new, k_new, err)``:
         the fifth-order state after time h, the field's value at it (first
         same as last), and the root mean square of the local error estimate
-        divided by ``atol + rtol * max(|y|, |y_new|)``. ``reverse`` steps the
-        negated field, whose terms are exact negations. Generated on first
-        use and cached per sign. A stage whose power overflows raises
-        ``OverflowError``.
+        divided by ``atol + rtol * max(|y|, |y_new|)``. A negative h steps
+        backwards in time. Generated on first use and cached. A stage whose
+        power overflows raises ``OverflowError``.
         """
-        if reverse not in self._steps:
-            comps = [-p for p in self.components] if reverse else self.components
-            self._steps[reverse] = self._generate(
-                "y, k, h, atol, rtol", _dp5_body([_poly_expr(p) for p in comps]), "dp5")
-        return self._steps[reverse]
+        if self._step is None:
+            self._step = self._generate(
+                "y, k, h, atol, rtol", _dp5_body([_poly_expr(p) for p in self.components]), "dp5")
+        return self._step
 
     def coefficient_arrays(self) -> tuple[np.ndarray, ...]:
         """Dense coefficients ``(c, A, B, ...)``, one array per degree.

@@ -203,6 +203,35 @@ def test_integrate_requires_positive_time(tmp_path, capsys):
     assert "t-end" in err
 
 
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_integrate_rejects_a_non_finite_time(t_end, tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    code, out, err = run(capsys, "integrate", "--config", cfg, "--t-end", t_end)
+    assert code == 2
+    assert out == ""
+    assert "--t-end must be a positive finite time" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("integrate", "--tol-ode", "tolerances must be positive and finite"),
+        ("find-orbit", "--tol-ode", "tolerances must be positive and finite"),
+        ("find-orbit", "--tol-orbit", "tol_orbit must be positive and finite"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_usage_error(command, flag, message, value, tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    argv = [command, "--config", cfg, flag, value]
+    if command == "integrate":
+        argv += ["--t-end", "1.0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_integrate_stdout_csv(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code, out, _ = run(capsys, "integrate", "--config", cfg, "--t-end", "1.0")

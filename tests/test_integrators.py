@@ -1,4 +1,5 @@
 import io
+import math
 import re
 
 import numpy as np
@@ -117,12 +118,38 @@ def test_flow_with_monodromy_raises_on_blowup_and_step_budget(rigid_bundle, rigi
         pb.flow_with_monodromy(rigid_bundle.field, x, TWO_PI, pb.ToleranceSettings(max_steps=1))
 
 
-def test_reversed_flow_equals_the_negated_field_flow(rigid_bundle, rigid_e1):
-    x = rigid_e1 + np.array([0.0, 0.05, 0.02])
-    negated = PolynomialVectorField([-p for p in rigid_bundle.field.components])
-    np.testing.assert_array_equal(
-        pb.flow(rigid_bundle.field, x, -2.3), pb.flow(negated, x, 2.3)
-    )
+def _reversal_cases(rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1):
+    """(field, the field with negated terms, a point) on both built-ins."""
+    for field, x in (
+        (rigid_bundle.field, rigid_e1 + np.array([0.0, 0.05, 0.02])),
+        (clebsch_bundle.field, clebsch_e1 + np.array([0.0, 0.03, 0.02, 0.0, 0.02, -0.01])),
+    ):
+        yield field, PolynomialVectorField([-p for p in field.components]), x
+
+
+def test_reversed_flow_equals_the_negated_field_flow(
+    rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1
+):
+    # round-to-nearest is symmetric in sign, so this holds bit for bit
+    for field, negated, x in _reversal_cases(rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1):
+        np.testing.assert_array_equal(pb.flow(field, x, -2.3), pb.flow(negated, x, 2.3))
+
+
+def test_reversed_monodromy_equals_the_negated_field_monodromy(
+    rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1
+):
+    for field, negated, x in _reversal_cases(rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1):
+        end, m = pb.flow_with_monodromy(field, x, -2.3)
+        end_ref, m_ref = pb.flow_with_monodromy(negated, x, 2.3)
+        np.testing.assert_array_equal(end, end_ref)
+        np.testing.assert_array_equal(m, m_ref)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [pb.integrate, pb.flow, pb.flow_with_monodromy])
+def test_non_finite_time_is_rejected(entry, T):
+    with pytest.raises(ValueError, match="finite"):
+        entry(HARMONIC, [1.0, 0.0], T)
 
 
 def test_order_scaling_on_harmonic_oracle():
@@ -217,10 +244,10 @@ AFFINE = PolynomialVectorField.from_terms(
 )
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("backwards", [False, True])
 @pytest.mark.parametrize("case", ["rigid", "clebsch", "duffing", "affine"])
 def test_generated_step_matches_numpy_stages(
-    case, reverse, rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1
+    case, backwards, rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1
 ):
     field, y = {
         "rigid": (rigid_bundle.field, rigid_e1 + np.array([0.0, 0.05, -0.03])),
@@ -232,12 +259,12 @@ def test_generated_step_matches_numpy_stages(
         "affine": (AFFINE, np.array([0.3, -1.2, 0.7])),
     }[case]
     f = field.compiled()
-    rhs = (lambda v: -f(v)) if reverse else f
-    k1 = rhs(y)
-    step = field.dp5_step(reverse)
+    k1 = f(y)
+    step = field.dp5_step()
     for h in (0.01, 0.05, 0.4):
+        h = -h if backwards else h
         y_new, k_new, err = step(y.tolist(), k1.tolist(), h, 1e-12, 1e-12)
-        y_ref, k_ref, err_ref, err_size = dp5_step(rhs, y, k1, h, 1e-12, 1e-12)
+        y_ref, k_ref, err_ref, err_size = dp5_step(f, y, k1, h, 1e-12, 1e-12)
         assert np.max(np.abs(np.subtract(y_new, y_ref))) <= 1e-14 * np.max(np.abs(y_ref))
         assert np.max(np.abs(np.subtract(k_new, k_ref))) <= 1e-14 * np.max(np.abs(k_ref))
         assert abs(err - err_ref) <= 1e-14 * err_size
@@ -246,6 +273,13 @@ def test_generated_step_matches_numpy_stages(
 def test_settings_validation():
     with pytest.raises(ValueError):
         pb.ToleranceSettings(abs_tol=0.0)
+    for name in ("abs_tol", "rel_tol", "h_min", "h_max"):
+        with pytest.raises(ValueError):
+            pb.ToleranceSettings(**{name: math.nan})
+    for name in ("abs_tol", "rel_tol"):
+        with pytest.raises(ValueError):
+            pb.ToleranceSettings(**{name: math.inf})
+    assert pb.ToleranceSettings(h_max=math.inf).h_max == math.inf
     with pytest.raises(ValueError):
         pb.ToleranceSettings(h_init=1.0, h_max=0.5)
     with pytest.raises(ValueError):

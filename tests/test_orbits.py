@@ -217,6 +217,28 @@ def test_continue_family_validates_epsilons(rigid_bundle, rigid_e1):
         pb.continue_family(problem, [-0.1, 0.05])
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("tol_orbit", math.nan),
+        ("tol_orbit", math.inf),
+        ("tol_orbit", 0.0),
+        ("svd_cutoff", -1e-10),
+        ("svd_cutoff", math.nan),
+        ("svd_cutoff", math.inf),
+        ("max_iter", -1),
+    ],
+)
+def test_solver_settings_validation(name, value):
+    with pytest.raises(ValueError, match=name):
+        pb.SolverSettings(**{name: value})
+
+
+def test_solver_settings_edge_values_are_valid():
+    settings = pb.SolverSettings(svd_cutoff=0.0, max_iter=0)
+    assert (settings.svd_cutoff, settings.max_iter) == (0.0, 0)
+
+
 def test_unsolvable_offset_is_recorded(rigid_bundle, rigid_e1):
     # F <= 1.5 on the whole constraint level here, so the offset 5^2 = 25 is
     # infeasible; the row must fail fast and be recorded, not abort the family
