@@ -1,10 +1,17 @@
 """Command-line front end.
 
-Subcommands: ``check``, ``find-orbit``, ``continue``, ``integrate``,
-``verify-realization``. Reports go to stdout as JSON; tabular and trajectory
-data are CSV, written only under an explicit ``--out`` directory. Exit codes:
-0 success or verdict true, 1 mathematical negative (verdict false,
-non-convergence), 2 usage or configuration error.
+Each subcommand accepts exactly the flags it reads (brackets mark optional ones):
+
+- ``check --config``
+- ``find-orbit --config [--out --tol-ode --tol-orbit --skip-check --omega-index --csv]``
+- ``continue --config [--out --tol-ode --tol-orbit --skip-check --omega-index]``
+- ``integrate --config --t-end [--out --tol-ode]``
+- ``verify-realization --config [--seed --samples]``
+
+Reports go to stdout as JSON. CSV data are written only under an explicit
+``--out`` directory, except that ``integrate`` without one prints its
+trajectory. Exit codes: 0 success or verdict true, 1 mathematical negative
+(verdict false, non-convergence), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from .checker import check_theorem
 from .errors import ConfigError, NoInertiaRealization, NotAnEquilibrium, PorbitError
-from .integrators import drift_report, integrate, write_states_csv
+from .integrators import drift_report, integrate, write_csv
 from .orbits import SolverSettings, continue_family, orbit_problem, sample_orbit, solve_orbit
 from .systems import (
     RigidBodyParams,
@@ -67,7 +74,7 @@ def _solver_settings(cfg: dict, args) -> SolverSettings:
         ode = replace(ode, abs_tol=float(tol_cfg["abs_tol"]))
     if "rel_tol" in tol_cfg:
         ode = replace(ode, rel_tol=float(tol_cfg["rel_tol"]))
-    if getattr(args, "tol_ode", None) is not None:
+    if args.tol_ode is not None:
         ode = replace(ode, abs_tol=args.tol_ode, rel_tol=args.tol_ode)
     settings = replace(settings, ode=ode)
     if "tol_orbit" in tol_cfg:
@@ -102,7 +109,7 @@ def _select_omegas(omegas: list[float], index: int | None) -> list[tuple[int, fl
 
 
 def _ensure_out(args) -> str | None:
-    out = getattr(args, "out", None)
+    out = args.out
     if getattr(args, "csv", False) and out is None:
         raise ConfigError("--csv needs an --out directory")
     if out is not None:
@@ -170,26 +177,12 @@ def cmd_find_orbit(args) -> int:
                 with open(os.path.join(out, stem + ".json"), "w") as fh:
                     json.dump(record, fh, indent=2)
                 if args.csv:
-                    write_states_csv(
-                        *sample_orbit(bundle, orbit, settings=settings.ode),
-                        os.path.join(out, stem + ".csv"),
-                    )
+                    times, states = sample_orbit(bundle, orbit, settings=settings.ode)
+                    header = ["t"] + [f"x{i + 1}" for i in range(bundle.dimension)]
+                    rows = np.column_stack((times, states)).tolist()
+                    write_csv(os.path.join(out, stem + ".csv"), header, rows)
     _print_json({"orbits": records})
     return 0
-
-
-def _family_csv(family, path: str, constraint_names) -> None:
-    headers = ["epsilon", "period", "closure_residual"]
-    headers += [f"residual_{name}" for name in constraint_names]
-    headers += ["level_residual", "iterations"]
-    lines = [",".join(headers)]
-    for eps, orbit in family.rows:
-        row = [repr(float(eps)), repr(float(orbit.period)), repr(float(orbit.closure_residual))]
-        row += [repr(float(orbit.constraint_residuals[name])) for name in constraint_names]
-        row += [repr(float(orbit.level_residual)), str(orbit.iterations)]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_continue(args) -> int:
@@ -198,6 +191,8 @@ def cmd_continue(args) -> int:
         return MATH_NEGATIVE
     out, bundle, x0, settings, epsilons, selected = setup
     names = [q.name for q in bundle.constraints]
+    header = ["epsilon", "period", "closure_residual"]
+    header += [f"residual_{name}" for name in names] + ["level_residual", "iterations"]
     families = []
     for idx, omega in selected:
         problem = orbit_problem(bundle, x0, omega, epsilons[-1], settings)
@@ -206,7 +201,13 @@ def cmd_continue(args) -> int:
         if out is not None:
             with open(os.path.join(out, f"family_w{idx}.json"), "w") as fh:
                 json.dump(families[-1], fh, indent=2)
-            _family_csv(family, os.path.join(out, f"family_w{idx}.csv"), names)
+            rows = (
+                [eps, orbit.period, orbit.closure_residual]
+                + [orbit.constraint_residuals[name] for name in names]
+                + [orbit.level_residual, orbit.iterations]
+                for eps, orbit in family.rows
+            )
+            write_csv(os.path.join(out, f"family_w{idx}.csv"), header, rows)
     _print_json({"families": families})
     return 0
 
@@ -216,7 +217,7 @@ def cmd_integrate(args) -> int:
     out = _ensure_out(args)
     bundle = bundle_from_config(cfg)
     x0 = _resolve_equilibrium(bundle, cfg)
-    if args.t_end is None or not 0 < args.t_end < math.inf:
+    if not 0 < args.t_end < math.inf:
         raise ConfigError("--t-end must be a positive finite time")
     perturbation = cfg.get("perturbation")
     if perturbation is not None:
@@ -262,21 +263,32 @@ def cmd_verify_realization(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, orbit_flags: bool = False):
-    parser.add_argument("--config", required=True, help="path to a JSON run config")
-    parser.add_argument("--out", help="directory for output files")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any sampling")
-    parser.add_argument("--tol-ode", type=float, dest="tol_ode", help="integrator abs/rel tolerance")
-    parser.add_argument("--tol-orbit", type=float, dest="tol_orbit", help="shooting residual tolerance")
-    if orbit_flags:
-        parser.add_argument("--csv", action="store_true", help="also write sampled CSV data")
-        parser.add_argument("--skip-check", action="store_true", help="skip the hypothesis check")
-        parser.add_argument(
-            "--omega-index",
-            type=int,
-            dest="omega_index",
-            help="select one frequency family (default: all)",
-        )
+_FLAGS = {
+    "--config": dict(required=True, help="path to a JSON run config"),
+    "--out": dict(help="directory for output files"),
+    "--tol-ode": dict(type=float, help="integrator abs/rel tolerance"),
+    "--tol-orbit": dict(type=float, help="shooting residual tolerance"),
+    "--csv": dict(action="store_true", help="also write sampled CSV data"),
+    "--skip-check": dict(action="store_true", help="skip the hypothesis check"),
+    "--omega-index": dict(type=int, help="select one frequency family (default: all)"),
+    "--t-end": dict(type=float, required=True, help="integration time"),
+    "--seed": dict(type=int, default=0, help="seed of the sample points"),
+    "--samples": dict(type=int, default=100, help="number of sample points"),
+}
+
+_ORBIT_FLAGS = "--config --out --tol-ode --tol-orbit --skip-check --omega-index"
+
+# name: (handler, help, flags); each subcommand accepts exactly the flags it reads
+_COMMANDS = {
+    "check": (cmd_check, "verify the orbit-existence conditions", "--config"),
+    "find-orbit": (cmd_find_orbit, "solve for periodic orbits by shooting",
+                   _ORBIT_FLAGS + " --csv"),
+    "continue": (cmd_continue, "continue an orbit family in the level offset", _ORBIT_FLAGS),
+    "integrate": (cmd_integrate, "integrate a trajectory and monitor drift",
+                  "--config --out --tol-ode --t-end"),
+    "verify-realization": (cmd_verify_realization, "check the rigid-body Poisson identities",
+                           "--config --seed --samples"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,29 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Periodic orbits near degenerate equilibria of conservative polynomial systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="verify the orbit-existence conditions")
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("find-orbit", help="solve for periodic orbits by shooting")
-    _add_common(p, orbit_flags=True)
-    p.set_defaults(func=cmd_find_orbit)
-
-    p = sub.add_parser("continue", help="continue an orbit family in the level offset")
-    _add_common(p, orbit_flags=True)
-    p.set_defaults(func=cmd_continue)
-
-    p = sub.add_parser("integrate", help="integrate a trajectory and monitor drift")
-    _add_common(p)
-    p.add_argument("--t-end", type=float, dest="t_end", help="integration time")
-    p.set_defaults(func=cmd_integrate)
-
-    p = sub.add_parser("verify-realization", help="check the rigid-body Poisson identities")
-    _add_common(p)
-    p.add_argument("--samples", type=int, default=100, help="number of sample points")
-    p.set_defaults(func=cmd_verify_realization)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -101,20 +101,23 @@ class Trajectory:
 
     def to_csv(self, target):
         """Write ``t,x1,...,xn`` rows; ``target`` is a path or a file object."""
-        write_states_csv(self.times, self.states, target)
+        header = ["t"] + [f"x{i + 1}" for i in range(self.states.shape[1])]
+        # row by row, so no second copy of the states is held as Python floats
+        rows = map(np.ndarray.tolist, np.column_stack((self.times, self.states)))
+        write_csv(target, header, rows)
 
 
-def write_states_csv(times, states, target):
-    """Write ``t,x1,...,xn`` rows; ``target`` is a path or a file object."""
-    n = states.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n"
-    line = ",".join(["{!r}"] * (n + 1)) + "\n"
-    # row by row, so no second copy of the states is held as Python floats
-    times = np.asarray(times, dtype=float).tolist()
-    rows = (line.format(t, *row) for t, row in zip(times, map(np.ndarray.tolist, states)))
+def write_csv(target, header, rows):
+    """Write the ``header`` names and then one line per row, comma-separated.
+
+    ``target`` is a path or a file object. ``rows`` is an iterable (a
+    generator too) of sequences of Python numbers, one per header name; each
+    cell is written as its ``repr``, so floats read back bit for bit.
+    """
+    line = ",".join(["{!r}"] * len(header)) + "\n"
     with open(target, "w") if not hasattr(target, "write") else nullcontext(target) as fh:
-        fh.write(header)
-        fh.writelines(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line.format(*row) for row in rows)
 
 
 def _initial_step(rhs, y0, f0, direction: float, settings: ToleranceSettings) -> float:

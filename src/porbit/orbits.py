@@ -215,7 +215,7 @@ def solve_orbit(
     is set, the orbit is approached from below instead:
     :func:`continue_family` climbs eps * j / 16, j = 1..16, with the
     fallback off, and its last rung is returned marked ``used_fallback``. If
-    that rung fails too, the seed solve's error is raised.
+    any rung fails, the climb has left the family: the seed solve's error is raised.
     """
     if problem.epsilon <= 0.0:
         raise ValueError("epsilon must be positive; the equilibrium itself is the eps = 0 limit")
@@ -239,7 +239,7 @@ def solve_orbit(
             family = continue_family(replace(problem, settings=no_fallback), rungs)
         except OrbitSolveError:
             family = None
-        if family is None or family.rows[-1][0] != eps:
+        if family is None or family.failures:
             raise
         return replace(family.rows[-1][1], used_fallback=True)
 

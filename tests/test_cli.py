@@ -145,17 +145,19 @@ def test_continue_rigid_family(tmp_path, capsys):
     two_pi = 2.0 * math.pi
     deviations = [abs(p - two_pi) for p in periods]
     assert deviations[0] < deviations[1] < deviations[2]
-    csv_path = os.path.join(out_dir, "family_w0.csv")
-    with open(csv_path) as fh:
-        lines = fh.read().strip().split("\n")
-    assert lines[0].startswith("epsilon,period,closure_residual")
-    assert len(lines) == 4
-    # every cell must be a plain parseable number
-    csv_periods = []
-    for line in lines[1:]:
-        cells = [float(v) for v in line.split(",")]
-        csv_periods.append(cells[1])
-    assert csv_periods == periods
+    # the CSV holds the JSON rows' numbers, each cell written as its repr
+    names = list(family["rows"][0]["orbit"]["constraint_residuals"])
+    header = ["epsilon", "period", "closure_residual"]
+    header += [f"residual_{name}" for name in names] + ["level_residual", "iterations"]
+    expected = [",".join(header)]
+    for row in family["rows"]:
+        orbit = row["orbit"]
+        cells = [row["epsilon"], orbit["period"], orbit["closure_residual"]]
+        cells += [orbit["constraint_residuals"][name] for name in names]
+        cells += [orbit["level_residual"], orbit["iterations"]]
+        expected.append(",".join(map(repr, cells)))
+    with open(os.path.join(out_dir, "family_w0.csv")) as fh:
+        assert fh.read() == "\n".join(expected) + "\n"
 
 
 def test_continue_empty_epsilons_is_usage_error(tmp_path, capsys):
@@ -276,6 +278,43 @@ def test_verify_realization_rejects_other_systems(tmp_path, capsys):
 
 
 # -- cross-cutting ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("check", "--out"),
+        ("check", "--seed"),
+        ("check", "--tol-ode"),
+        ("check", "--tol-orbit"),
+        ("find-orbit", "--seed"),
+        ("continue", "--seed"),
+        ("continue", "--csv"),
+        ("integrate", "--seed"),
+        ("integrate", "--tol-orbit"),
+        ("verify-realization", "--out"),
+        ("verify-realization", "--tol-ode"),
+        ("verify-realization", "--tol-orbit"),
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_usage_error(command, flag, tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    value = {"--out": [str(tmp_path / "out")], "--seed": ["1"], "--csv": []}.get(flag, ["1e-3"])
+    argv = [command, "--config", cfg, flag, *value]
+    if command == "integrate":
+        argv += ["--t-end", "1.0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_integrate_requires_t_end(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    code, out, err = run(capsys, "integrate", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert "--t-end" in err
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path, capsys):

@@ -338,6 +338,16 @@ def test_infeasible_offset_fails_as_period_collapsed(rigid_bundle, rigid_e1):
     assert error.last_residual == pytest.approx(22.899, rel=1e-4)
 
 
+def test_ladder_rescue_past_the_family_end_fails_as_period_collapsed(rigid_bundle, rigid_e1):
+    # the family ends at eps = 1/sqrt(2) here; the rescue's rungs 0.70 and
+    # 0.75 fail, so its converged top rung at 0.8 is not the family's orbit
+    problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, 0.8)
+    assert problem.settings.two_segment_fallback
+    with pytest.raises(pb.OrbitSolveError) as info:
+        pb.solve_orbit(problem)
+    assert str(info.value).startswith("period collapsed")
+
+
 def test_iteration_limit_fails_as_no_convergence(rigid_bundle, rigid_e1):
     error = _rigid_seed_solve(rigid_bundle, rigid_e1, 0.3, max_iter=1)
     assert str(error).startswith("no convergence after 1 iterations")
