@@ -116,7 +116,7 @@ def check_theorem(
         raise ValueError(f"equilibrium must have shape ({n},)")
 
     residual = float(np.max(np.abs(bundle.field(x0))))
-    if residual >= tol.equilibrium:
+    if not residual < tol.equilibrium:  # also catches a NaN residual
         raise NotAnEquilibrium(
             f"field residual {residual:.3e} at the supplied point exceeds {tol.equilibrium}"
         )

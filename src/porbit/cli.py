@@ -43,56 +43,75 @@ MATH_NEGATIVE = 1
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
+
+
+def _number(value, what: str, kind=float):
+    """``value`` as a ``kind`` if it is a JSON number of that kind; an integer
+    counts as a float, a boolean as neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _vector(value, n: int, what: str) -> np.ndarray:
+    """``value`` as a float array if it is a list of n JSON numbers."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ConfigError(f"{what} must have {n} coordinates")
+    return np.array([_number(v, f"each coordinate of the {what}") for v in value])
 
 
 def _resolve_equilibrium(bundle: SystemBundle, cfg: dict) -> np.ndarray:
     entry = cfg.get("equilibrium")
     if entry is None:
         raise ConfigError("config needs an 'equilibrium' entry")
+    if not isinstance(entry, dict):
+        raise ConfigError("'equilibrium' must be an object with 'family' + 'M' or 'point'")
     if "point" in entry:
-        point = np.asarray(entry["point"], dtype=float)
-        if point.shape != (bundle.dimension,):
-            raise ConfigError(
-                f"equilibrium point must have {bundle.dimension} coordinates"
-            )
-        return point
+        return _vector(entry["point"], bundle.dimension, "equilibrium point")
     if "family" in entry:
-        return bundle.equilibrium(entry["family"], entry.get("M"))
+        M = entry.get("M")
+        return bundle.equilibrium(str(entry["family"]), M if M is None else _number(M, "M"))
     raise ConfigError("equilibrium needs either 'family' + 'M' or 'point'")
 
 
 def _solver_settings(cfg: dict, args) -> SolverSettings:
     tol_cfg = cfg.get("tolerances", {})
+    if not isinstance(tol_cfg, dict):
+        raise ConfigError("'tolerances' must be an object")
     settings = SolverSettings()
     ode = settings.ode
     if "abs_tol" in tol_cfg:
-        ode = replace(ode, abs_tol=float(tol_cfg["abs_tol"]))
+        ode = replace(ode, abs_tol=_number(tol_cfg["abs_tol"], "abs_tol"))
     if "rel_tol" in tol_cfg:
-        ode = replace(ode, rel_tol=float(tol_cfg["rel_tol"]))
+        ode = replace(ode, rel_tol=_number(tol_cfg["rel_tol"], "rel_tol"))
     if args.tol_ode is not None:
         ode = replace(ode, abs_tol=args.tol_ode, rel_tol=args.tol_ode)
     settings = replace(settings, ode=ode)
     if "tol_orbit" in tol_cfg:
-        settings = replace(settings, tol_orbit=float(tol_cfg["tol_orbit"]))
+        settings = replace(settings, tol_orbit=_number(tol_cfg["tol_orbit"], "tol_orbit"))
     if getattr(args, "tol_orbit", None) is not None:
         settings = replace(settings, tol_orbit=args.tol_orbit)
     if "max_iter" in tol_cfg:
-        settings = replace(settings, max_iter=int(tol_cfg["max_iter"]))
+        settings = replace(settings, max_iter=_number(tol_cfg["max_iter"], "max_iter", int))
     return settings
 
 
 def _epsilons(cfg: dict) -> list[float]:
     eps = cfg.get("epsilons", [])
-    if not eps:
+    if not isinstance(eps, list) or not eps:
         raise ConfigError("config needs a nonempty 'epsilons' list")
-    eps = [float(e) for e in eps]
-    if any(e <= 0 for e in eps):
-        raise ConfigError("epsilons must be positive")
+    eps = [_number(e, "each epsilon") for e in eps]
+    if not all(0 < e < math.inf for e in eps):
+        raise ConfigError(f"epsilons must be positive and finite, got {eps}")
     return sorted(eps)
 
 
@@ -101,7 +120,7 @@ def _select_omegas(omegas: list[float], index: int | None) -> list[tuple[int, fl
         raise ConfigError("no oscillation frequencies at this equilibrium")
     if index is None:
         return list(enumerate(omegas))
-    if not 0 <= index < len(omegas):
+    if not 0 <= _number(index, "omega_index", int) < len(omegas):
         raise ConfigError(
             f"omega_index {index} out of range; {len(omegas)} families available"
         )
@@ -221,10 +240,7 @@ def cmd_integrate(args) -> int:
         raise ConfigError("--t-end must be a positive finite time")
     perturbation = cfg.get("perturbation")
     if perturbation is not None:
-        delta = np.asarray(perturbation, dtype=float)
-        if delta.shape != (bundle.dimension,):
-            raise ConfigError("perturbation must match the system dimension")
-        x0 = x0 + delta
+        x0 = x0 + _vector(perturbation, bundle.dimension, "perturbation")
     settings = _solver_settings(cfg, args).ode
     trajectory = integrate(bundle.field, x0, args.t_end, settings)
     drifts = drift_report(trajectory, bundle.all_quantities())

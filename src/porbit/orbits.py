@@ -217,8 +217,10 @@ def solve_orbit(
     fallback off, and its last rung is returned marked ``used_fallback``. If
     any rung fails, the climb has left the family: the seed solve's error is raised.
     """
-    if problem.epsilon <= 0.0:
-        raise ValueError("epsilon must be positive; the equilibrium itself is the eps = 0 limit")
+    if not 0.0 < problem.epsilon < math.inf:
+        raise ValueError(
+            f"epsilon must be positive and finite, got {problem.epsilon}; "
+            "the equilibrium itself is the eps = 0 limit")
     t0 = 2.0 * math.pi / problem.omega
     if x_init is None:
         x, _ = initial_guess(problem, seed_angle)
@@ -327,8 +329,8 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
         raise ValueError("epsilons must be nonempty")
-    if any(e <= 0.0 for e in eps_list):
-        raise ValueError("epsilons must be positive")
+    if not all(0.0 < e < math.inf for e in eps_list):
+        raise ValueError("epsilons must be positive and finite")
     if sorted(eps_list) != eps_list:
         raise ValueError("epsilons must be sorted ascending")
 

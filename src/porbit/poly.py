@@ -12,10 +12,11 @@ an independent cross-check in the tests. The Taylor-series integrator and
 the shooting read the same field arrays.
 
 Plain Python code generated from the term lists serves the DP5 integrator
-(`integrate`, `flow`) and callers outside the package: `dp5_step` is one
-whole Dormand-Prince step as a straight-line function of floats, `compiled`
-evaluates the field (DP5's starting derivative) and `compiled_jacobian` is
-its Jacobian counterpart, used only outside the package.
+(`integrate`, `flow`): each field compiles one source, once, on first use,
+holding `dp5_step`, one whole Dormand-Prince step as a straight-line
+function of floats, and `compiled`, the field as an array (DP5's starting
+derivative). `compiled_jacobian` is the array Jacobian of `derivative_at`,
+kept for callers outside the package.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 class Polynomial:
     """Polynomial in ``dimension`` real variables, canonical sparse form.
 
-    Terms with equal exponent tuples are merged and exact-zero coefficients
-    dropped; the term order is fixed (sorted by exponents), which keeps every
-    evaluation and serialization deterministic.
+    Terms with equal exponent tuples are merged, exact-zero coefficients
+    dropped and non-finite ones refused; the term order is fixed (sorted by
+    exponents), which keeps every evaluation and serialization deterministic.
     """
 
     __slots__ = ("dimension", "_terms", "_arrays")
@@ -50,6 +51,9 @@ class Polynomial:
             acc[e] = acc.get(e, 0.0) + float(coeff)
         self.dimension = dimension
         self._terms = tuple((c, e) for e, c in sorted(acc.items()) if c != 0.0)
+        for c, e in self._terms:
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coefficient in term {_term_str(c, e)}")
         self._arrays = None
 
     # -- constructors ------------------------------------------------------
@@ -227,7 +231,7 @@ def derivative_at(arrays, x, order: int) -> np.ndarray:
 
 
 def _term_expr(c: float, e: tuple[int, ...]) -> str:
-    """Python source fragment for one monomial, used by the code generators."""
+    """Python source fragment for one monomial, used by the code generator."""
     parts = [f"({c!r})"]
     for i, k in enumerate(e):
         if k == 1:
@@ -241,11 +245,6 @@ def _poly_expr(p: Polynomial) -> str:
     if not p.terms:
         return "0.0"
     return " + ".join(_term_expr(c, e) for c, e in p.terms)
-
-
-def _array_body(n: int, items) -> list[str]:
-    """Body of x -> np.array([items]) with x unpacked into x0, x1, ..."""
-    return [f"x{i} = x[{i}]" for i in range(n)] + [f"return _np.array([{', '.join(items)}])"]
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
@@ -268,39 +267,42 @@ def _weighted(weights, j: int) -> str:
     return " + ".join(f"({w!r})*k{i}_{j}" for i, w in enumerate(weights) if w != 0.0)
 
 
-def _dp5_body(exprs) -> list[str]:
-    """Body of step(y, k, h, atol, rtol) for the field with component sources
-    ``exprs`` in x0, x1, ...
+def _source(exprs) -> str:
+    """Source of ``field(x)`` and ``step(y, k, h, atol, rtol)`` for the field
+    with component sources ``exprs`` in x0, x1, ...
 
-    Stage i's derivative is k{i}_0, k{i}_1, ...; each stage first sets every
-    x{j} to its input state, so after the last stage x{j} holds the new
-    state.
+    ``field`` reads x{j} = x[j] and returns an ndarray. In ``step``, stage
+    i's derivative is k{i}_0, k{i}_1, ...; each stage first sets every x{j}
+    to its input state, so after the last stage x{j} holds the new state.
     """
     n = len(exprs)
+    field = [f"x{j} = x[{j}]" for j in range(n)] + [f"return _np.array([{', '.join(exprs)}])"]
     ys = ", ".join(f"y{j}" for j in range(n))
-    lines = [f"{ys}, = y", f"{', '.join(f'k0_{j}' for j in range(n))}, = k"]
+    step = [f"{ys}, = y", f"{', '.join(f'k0_{j}' for j in range(n))}, = k"]
     for i, row in enumerate(_DP5_A, start=1):
-        lines += [f"x{j} = y{j} + h * ({_weighted(row, j)})" for j in range(n)]
-        lines += [f"k{i}_{j} = {expr}" for j, expr in enumerate(exprs)]
-    lines += [
+        step += [f"x{j} = y{j} + h * ({_weighted(row, j)})" for j in range(n)]
+        step += [f"k{i}_{j} = {expr}" for j, expr in enumerate(exprs)]
+    step += [
         f"e{j} = h * ({_weighted(_DP5_E, j)}) / (atol + rtol * max(abs(y{j}), abs(x{j})))"
         for j in range(n)
     ]
     new = ", ".join(f"x{j}" for j in range(n))
     last = ", ".join(f"k{len(_DP5_A)}_{j}" for j in range(n))
     squares = " + ".join(f"e{j} * e{j}" for j in range(n))
-    lines.append(f"return ({new},), ({last},), _sqrt(({squares}) / {n})")
-    return lines
+    step.append(f"return ({new},), ({last},), _sqrt(({squares}) / {n})")
+    functions = (("field(x)", field), ("step(y, k, h, atol, rtol)", step))
+    return "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in body)
+                   for head, body in functions)
 
 
 class PolynomialVectorField:
     """Autonomous vector field whose components are :class:`Polynomial`.
 
     Calling the field evaluates the right-hand side from its coefficient
-    arrays, as the Taylor integrator and the shooting do. The generated code
-    serves DP5 and outside callers: ``dp5_step()`` is one Dormand-Prince
-    step, ``compiled()`` a plain-Python closure of x and
-    ``compiled_jacobian()`` its Jacobian counterpart.
+    arrays, as the Taylor integrator and the shooting do. One generated
+    source serves DP5: ``dp5_step()`` is one Dormand-Prince step and
+    ``compiled()`` the field as a plain-Python function of x.
+    ``compiled_jacobian()`` is the Jacobian from the coefficient arrays.
     """
 
     def __init__(self, components: Sequence[Polynomial]):
@@ -318,7 +320,7 @@ class PolynomialVectorField:
         self.components = components
         self._f = None
         self._jac = None
-        self._step = None
+        self._code = None
         self._arrays = None
 
     @classmethod
@@ -346,22 +348,26 @@ class PolynomialVectorField:
 
     # -- code generation -----------------------------------------------------
 
+    def _generated(self) -> dict:
+        """Namespace of the field's generated code, compiled once, on first use."""
+        if self._code is None:
+            code = {"_np": np, "_sqrt": math.sqrt}
+            src = _source([_poly_expr(p) for p in self.components])
+            exec(compile(src, "<porbit-field>", "exec"), code)
+            self._code = code
+        return self._code
+
     def compiled(self):
-        """Function x -> ndarray(n) generated from the term lists."""
+        """Function x -> ndarray(n), the field generated from the term lists."""
         if self._f is None:
-            items = [_poly_expr(p) for p in self.components]
-            self._f = self._generate("x", _array_body(self.dimension, items), "field")
+            self._f = self._generated()["field"]
         return self._f
 
     def compiled_jacobian(self):
-        """Function x -> ndarray(n, n) evaluating the exact Jacobian."""
+        """Function x -> ndarray(n, n), the exact Jacobian from the coefficient arrays."""
         if self._jac is None:
-            n = self.dimension
-            rows = [
-                "[" + ", ".join(_poly_expr(p.differentiate(j)) for j in range(n)) + "]"
-                for p in self.components
-            ]
-            self._jac = self._generate("x", _array_body(n, rows), "jacobian")
+            arrays = self.coefficient_arrays()
+            self._jac = lambda x: derivative_at(arrays, x, 1)
         return self._jac
 
     def dp5_step(self):
@@ -372,13 +378,10 @@ class PolynomialVectorField:
         the fifth-order state after time h, the field's value at it (first
         same as last), and the root mean square of the local error estimate
         divided by ``atol + rtol * max(|y|, |y_new|)``. A negative h steps
-        backwards in time. Generated on first use and cached. A stage whose
-        power overflows raises ``OverflowError``.
+        backwards in time. A stage whose power overflows raises
+        ``OverflowError``.
         """
-        if self._step is None:
-            self._step = self._generate(
-                "y, k, h, atol, rtol", _dp5_body([_poly_expr(p) for p in self.components]), "dp5")
-        return self._step
+        return self._generated()["step"]
 
     def coefficient_arrays(self) -> tuple[np.ndarray, ...]:
         """Dense coefficients ``(c, A, B, ...)``, one array per degree.
@@ -399,14 +402,6 @@ class PolynomialVectorField:
                 a.flags.writeable = False
             self._arrays = tuple(arrays)
         return self._arrays
-
-    @staticmethod
-    def _generate(params: str, body, label: str):
-        """Compile ``def _fn(params)`` with the given body lines."""
-        src = f"def _fn({params}):\n" + "".join(f"    {line}\n" for line in body)
-        ns = {"_np": np, "_sqrt": math.sqrt}
-        exec(compile(src, f"<porbit-{label}>", "exec"), ns)
-        return ns["_fn"]
 
     def to_json(self) -> dict:
         return {

@@ -16,6 +16,7 @@ monomial representation whenever a bundle is constructed.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -142,19 +143,22 @@ class SystemBundle:
 
     def _check_equilibrium(self, label: str, point: np.ndarray):
         residual = float(np.max(np.abs(self.field(point))))
-        if residual >= EQUILIBRIUM_TOL:
+        if not residual < EQUILIBRIUM_TOL:  # also catches a NaN residual
             raise ConfigError(
                 f"equilibrium {label!r} has residual {residual:.3e} >= {EQUILIBRIUM_TOL}"
             )
 
     def equilibrium(self, label: str, M: float | None = None) -> np.ndarray:
-        """Resolve a named equilibrium; family labels need a nonzero M."""
+        """Resolve a named equilibrium; family labels need a nonzero finite M."""
         if label in self.families:
             if M is None:
                 raise ConfigError(f"equilibrium family {label!r} needs a value of M")
+            M = float(M)
             if M == 0.0:
                 raise ConfigError("M must be nonzero")
-            point = np.asarray(self.families[label](float(M)), dtype=float)
+            if not math.isfinite(M):
+                raise ConfigError(f"M must be finite, got {M}")
+            point = np.asarray(self.families[label](M), dtype=float)
             self._check_equilibrium(f"{label}(M={M})", point)
             return point
         if label in self.equilibria:

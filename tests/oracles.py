@@ -6,7 +6,9 @@ monomial lists cross-checks them to round-off, as does the product-of-
 polynomials expansion of grad(Q) . X the conservation test; fixed-step
 classical RK4 cross-checks the adaptive integrator, a numpy Dormand-Prince
 step cross-checks the generated one, and DP5 `flow` on the augmented
-polynomial field (x, Phi) cross-checks the Taylor monodromy. An inline 1:1
+polynomial field (x, Phi) cross-checks the Taylor monodromy. The field
+differences, RK4 and the numpy step evaluate the field from its coefficient
+arrays (`field(x)`), never from the generated code under test. An inline 1:1
 resonant oscillator, in a rotated frame, exercises shooting at a resonance.
 """
 
@@ -52,13 +54,12 @@ def jacobian_fd(field: PolynomialVectorField, x, h: float = DEFAULT_FD_STEP) -> 
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     x = np.asarray(x, dtype=float)
-    f = field.compiled()
     n = field.dimension
     cols = []
     for j in range(n):
         step = np.zeros(n)
         step[j] = h
-        cols.append((f(x + step) - f(x - step)) / (2.0 * h))
+        cols.append((field(x + step) - field(x - step)) / (2.0 * h))
     return np.column_stack(cols)
 
 
@@ -133,16 +134,15 @@ def rk4_fixed(field: PolynomialVectorField, x0, t_end: float, n_steps: int) -> T
     """Classical fixed-step RK4."""
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    f = field.compiled()
     h = float(t_end) / n_steps
     y = np.asarray(x0, dtype=float).copy()
     ts = [0.0]
     ys = [y.copy()]
     for i in range(n_steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ts.append((i + 1) * h)
         ys.append(y.copy())

@@ -70,6 +70,50 @@ def test_check_zero_m_is_usage_error(tmp_path, capsys):
     assert "M must be nonzero" in err
 
 
+def _inline_oscillator(field_coeff=1.0, constraint_coeff=None):
+    """The harmonic oscillator as an inline system, with the coefficient of
+    y in x' = y and, optionally, that of a constraint x^2 given."""
+
+    def terms(*pairs):
+        return [{"coeff": c, "exps": e} for c, e in pairs]
+
+    system = {
+        "dimension": 2,
+        "components": [terms((field_coeff, [0, 1])), terms((-1.0, [1, 0]))],
+        "constraints": [],
+        "integral": {"name": "H", "terms": terms((0.5, [2, 0]), (0.5, [0, 2]))},
+    }
+    if constraint_coeff is not None:
+        system["constraints"] = [{"name": "Q", "terms": terms((constraint_coeff, [2, 0]))}]
+    return dict(system=system, equilibrium={"point": [0.0, 0.0]})
+
+
+@pytest.mark.parametrize(
+    "command, overrides, named",
+    [
+        ("verify-realization", dict(params={**RIGID_PARAMS, "a2": math.nan}), "nan"),
+        ("verify-realization", dict(params={**RIGID_PARAMS, "a3": math.nan}), "nan"),
+        ("verify-realization", dict(params={**RIGID_PARAMS, "l": math.nan}), "nan"),
+        ("check", _inline_oscillator(field_coeff=math.nan), "nan"),
+        ("check", _inline_oscillator(constraint_coeff=math.nan), "nan"),
+        ("check", dict(equilibrium={"family": "e1", "M": math.nan}), "M must be finite, got nan"),
+        ("check", dict(equilibrium={"family": "e1", "M": math.inf}), "M must be finite, got inf"),
+        ("check", dict(equilibrium={"point": [math.nan, 0.0, 0.0]}), "nan"),
+    ],
+    ids=["a2", "a3", "l", "field-coeff", "constraint-coeff", "M-nan", "M-inf", "point"],
+)
+def test_a_non_finite_parameter_or_coefficient_is_usage_error(
+    command, overrides, named, tmp_path, capsys
+):
+    # JSON allows NaN and Infinity, and NaN passes every "x >= tol" test
+    cfg = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, command, "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert named in err
+
+
 def test_check_missing_config_file(capsys):
     code, _, err = run(capsys, "check", "--config", "/nonexistent/cfg.json")
     assert code == 2
@@ -356,6 +400,41 @@ def test_inline_round_trip_matches_builtin_report(tmp_path, capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("find-orbit", dict(omega_index="0")),
+        ("find-orbit", dict(omega_index=0.5)),
+        # two families, so that true would select family 1
+        ("find-orbit", dict(system="clebsch", params=dict(CLEBSCH_PARAMS), omega_index=True)),
+        ("find-orbit", dict(epsilons=0.1)),
+        ("find-orbit", dict(epsilons=[math.nan])),
+        ("find-orbit", dict(equilibrium=5)),
+        ("find-orbit", dict(tolerances=3)),
+        ("continue", dict(epsilons=[0.1, math.inf])),
+        ("integrate --t-end 1", dict(perturbation={"x1": 0.1})),
+    ],
+    ids=["omega-str", "omega-float", "omega-bool", "eps-scalar", "eps-nan", "equilibrium-int",
+         "tolerances-int", "eps-inf", "perturbation-object"],
+)
+def test_a_malformed_run_config_value_is_usage_error(command, overrides, tmp_path, capsys):
+    cfg = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, *command.split(), "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["check", "verify-realization"])
+def test_a_config_that_is_not_an_object_is_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "config must be a JSON object" in err
 
 
 def test_omega_index_out_of_range(tmp_path, capsys):

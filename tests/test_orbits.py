@@ -121,9 +121,10 @@ def test_clebsch_slow_family_direct_solve(clebsch_bundle, clebsch_e1):
 
 
 def test_zero_epsilon_is_rejected(rigid_bundle, rigid_e1):
-    problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        pb.solve_orbit(problem)
+    for eps in (0.0, math.nan, math.inf):
+        problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, eps)
+        with pytest.raises(ValueError):
+            pb.solve_orbit(problem)
 
 
 def test_closure_reverifies_at_tighter_tolerance(rigid_family, rigid_bundle):
@@ -215,6 +216,9 @@ def test_continue_family_validates_epsilons(rigid_bundle, rigid_e1):
         pb.continue_family(problem, [0.1, 0.05])
     with pytest.raises(ValueError):
         pb.continue_family(problem, [-0.1, 0.05])
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pb.continue_family(problem, [0.1, eps])
 
 
 @pytest.mark.parametrize(

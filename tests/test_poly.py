@@ -6,7 +6,10 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import porbit as pb
 from porbit.poly import Polynomial, PolynomialVectorField
+
+from test_integrators import AFFINE, DUFFING
 
 
 def to_sympy(p: Polynomial, symbols):
@@ -37,6 +40,9 @@ def test_constructor_rejects_bad_terms():
         Polynomial(2, [(1.0, (1, 0, 0))])
     with pytest.raises(ValueError):
         Polynomial(2, [(1.0, (-1, 0))])
+    for coeff in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite coefficient in term"):
+            Polynomial(2, [(1.0, (0, 1)), (coeff, (1, 0))])
 
 
 def test_evaluate_against_sympy():
@@ -120,13 +126,33 @@ def test_product_rule(terms_a, terms_b):
     assert (lhs - rhs).max_abs_coeff() <= 1e-9
 
 
-def test_compiled_matches_evaluate(rigid_bundle):
+# a field whose middle component is the zero polynomial
+ZERO_COMPONENT = PolynomialVectorField.from_terms(
+    3, [[(1.0, (0, 1, 0))], [], [(-2.0, (1, 0, 1)), (0.5, (0, 0, 2))]]
+)
+
+
+@pytest.mark.parametrize("case", ["rigid", "clebsch", "duffing", "affine", "zero_component"])
+def test_compiled_matches_evaluate(case, rigid_bundle, clebsch_bundle):
+    field = {
+        "rigid": rigid_bundle.field,
+        "clebsch": clebsch_bundle.field,
+        "duffing": DUFFING,
+        "affine": AFFINE,
+        "zero_component": ZERO_COMPONENT,
+    }[case]
     rng = np.random.default_rng(11)
-    f = rigid_bundle.field.compiled()
+    f = field.compiled()
     for _ in range(20):
-        x = rng.uniform(-2, 2, size=3)
-        direct = np.array([p.evaluate(x) for p in rigid_bundle.field.components])
+        x = rng.uniform(-2, 2, size=field.dimension)
+        direct = np.array([p.evaluate(x) for p in field.components])
         np.testing.assert_allclose(f(x), direct, rtol=1e-14, atol=1e-14)
+
+
+def test_compiled_jacobian_is_the_array_jacobian(clebsch_bundle):
+    field = clebsch_bundle.field
+    x = np.random.default_rng(5).uniform(-2, 2, size=field.dimension)
+    np.testing.assert_array_equal(field.compiled_jacobian()(x), pb.jacobian_exact(field, x))
 
 
 def test_coefficient_arrays_are_symmetric_and_reproduce_the_field():
