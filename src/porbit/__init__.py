@@ -42,6 +42,7 @@ from .orbits import (
     continue_family,
     initial_guess,
     orbit_problem,
+    reversors,
     sample_orbit,
     solve_orbit,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "oscillation_plane",
     "poisson_tensor",
     "restricted_hessian",
+    "reversors",
     "sample_orbit",
     "solve_orbit",
     "subspace_equal",

@@ -264,8 +264,13 @@ def cmd_verify_realization(args) -> int:
         raise ConfigError("verify-realization only applies to the rigid_body system")
     if args.samples <= 0:
         raise ConfigError("--samples must be positive")
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("'params' must be an object")
     try:
-        params = RigidBodyParams(**cfg.get("params", {}))
+        params = RigidBodyParams(
+            **{key: _number(value, f"rigid body parameter {key}") for key, value in params.items()}
+        )
     except TypeError as exc:
         raise ConfigError(f"bad rigid body params: {exc}") from None
     rng = np.random.default_rng(args.seed)

@@ -7,16 +7,26 @@ integral (whose target carries the extra eps^2), and a phase condition
 anchored at the starting point. No local coordinates on the level set are
 built; the consistent overdetermined least-squares step is LAPACK's
 truncated-SVD least squares, and an orbit is accepted only when every
-residual entry is below tolerance. The flow and its monodromy come from the Taylor integrator,
-which also samples converged orbits.
+residual entry is below tolerance. The flow and its monodromy come from the
+Taylor integrator, which also samples converged orbits.
+
+When the bundle is reversible at x0, by a sign matrix R with
+R f(R x) = -f(x) that fixes x0 and every conserved quantity
+(:func:`reversors`), the orbits of a family are symmetric and meet Fix(R)
+twice, half a period apart (Devaney, Trans. AMS 218 (1976)). The same
+Gauss-Newton loop then shoots from Fix(R) back to Fix(R) over tau = T / 2,
+with the +1 coordinates of x and tau as unknowns and no phase condition;
+each iteration integrates half a period. The whole-period closure and the
+monodromy follow from the half period (see :func:`_shoot`).
 
 Seeding comes from the linearization: the guess sits in the oscillation
 plane of the chosen +/- i omega pair, scaled so the integral offset is
-eps^2 to leading order, with T0 = 2 pi / omega. The family shrinks onto the
-equilibrium as eps -> 0, so continuation climbs it from below: the smallest
-offset is solved from the seed, and each larger one starts from the
-previous orbit scaled out by the eps ratio. A seed solve that fails is
-retried the same way, up a ladder of offsets below the requested one.
+eps^2 to leading order, with T0 = 2 pi / omega; a reversible family starts
+where that plane meets Fix(R). The family shrinks onto the equilibrium as
+eps -> 0, so continuation climbs it from below: the smallest offset is
+solved from the seed, and each larger one starts from the previous orbit
+scaled out by the eps ratio. A seed solve that fails is retried the same
+way, up a ladder of offsets below the requested one.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from .systems import SystemBundle
 
 SWEEP_POINTS = 16  # directions round the oscillation plane tried by the seed
 FALLBACK_RUNGS = 16  # rungs eps * j / FALLBACK_RUNGS climbed when a seed solve fails
+_CANDIDATE_BLOCK = 4096  # sign matrices tested at once by reversors()
 
 
 @dataclass(frozen=True)
@@ -200,39 +211,108 @@ def initial_guess(problem: OrbitProblem, angle: float = 0.0) -> tuple[np.ndarray
     )
 
 
+def reversors(bundle: SystemBundle, equilibrium) -> list[np.ndarray]:
+    """Every sign matrix R = diag(s) that reverses the field at x0, as s.
+
+    R qualifies when R x0 = x0, R f(R x) = -f(x) and every constraint and
+    the integral is R-invariant. The test is exact and runs term by term
+    over the monomials, which are the nonzero entries of the coefficient
+    arrays: x -> s x multiplies a term x^e of f_i by s_i * prod_j s_j**e_j
+    and a term of an invariant by prod_j s_j**e_j, so each field term needs
+    an odd count of flipped indices and each invariant term an even one.
+    Candidates run in the order of ``itertools.product((1, -1), repeat=n)``
+    (binary counting, first coordinate most significant), the identity left
+    out, so the first entry is the same on every call.
+    """
+    x0 = np.asarray(equilibrium, dtype=float)
+    n = x0.size
+    counts, parity = [], []
+    for i, component in enumerate(bundle.field.components):
+        for _, e in component.terms:
+            counts.append(e[:i] + (e[i] + 1,) + e[i + 1 :])
+            parity.append(1)
+    for q in bundle.constraints + (bundle.integral,):
+        for _, e in q.polynomial.terms:
+            counts.append(e)
+            parity.append(0)
+    counts = np.array(counts, dtype=np.int64).reshape(-1, n).T
+    found = []
+    for start in range(1, 2**n, _CANDIDATE_BLOCK):  # blocks bound the memory for large n
+        flipped = (np.arange(start, min(start + _CANDIDATE_BLOCK, 2**n))[:, None]
+                   >> np.arange(n - 1, -1, -1)) & 1
+        ok = ~np.any(flipped & (x0 != 0.0), axis=1)
+        ok &= np.all(flipped @ counts % 2 == parity, axis=1)
+        found += [1.0 - 2.0 * b for b in flipped[ok]]
+    return found
+
+
+def _symmetric_guess(problem: OrbitProblem, signs: np.ndarray) -> np.ndarray:
+    """Linearization seed on Fix(R), R = diag(signs).
+
+    The direction is where the oscillation plane meets Fix(R): the null
+    vector of the plane's rows at the -1 coordinates, its larger entry made
+    positive. It is scaled as in :func:`initial_guess`, and the -1
+    coordinates are set to those of x0.
+    """
+    minus = signs < 0
+    plane = _orthonormal_plane(*problem.eigenplane)
+    z = np.linalg.svd(plane[minus])[2][-1]
+    z = z * math.copysign(1.0, z[np.argmax(np.abs(z))])
+    x, _ = initial_guess(problem, math.atan2(z[1], z[0]))
+    x[minus] = problem.equilibrium[minus]
+    return x
+
+
 def solve_orbit(
     problem: OrbitProblem,
     x_init=None,
     T_init: float | None = None,
     seed_angle: float = 0.0,
 ) -> PeriodicOrbit:
-    """Gauss-Newton single shooting for one periodic orbit.
+    """Gauss-Newton shooting for one periodic orbit.
 
     ``x_init`` and ``T_init`` override the linearization seed (used by
-    continuation warm starts). Raises :class:`OrbitSolveError` on
-    non-convergence, a collapsed or runaway period or a failed integration.
-    When a solve from the seed fails this way and ``two_segment_fallback``
-    is set, the orbit is approached from below instead:
-    :func:`continue_family` climbs eps * j / 16, j = 1..16, with the
-    fallback off, and its last rung is returned marked ``used_fallback``. If
-    any rung fails, the climb has left the family: the seed solve's error is raised.
+    continuation warm starts). A warm start on Fix(R), R the first of
+    :func:`reversors`, is shot over half a period, from Fix(R) back to
+    Fix(R); any other start is shot over the whole period (see
+    :func:`_shoot`). A cold solve (no ``x_init``) starts from
+    :func:`initial_guess` at ``seed_angle`` and stays on the whole period,
+    because the symmetric seed of :func:`continue_family` is worse as a
+    lone start: on the rigid body at M = 1, whose family ends at
+    eps = 1/sqrt(2), cold half-period solves converge at eps = 0.72
+    (T = 45.67) and eps = 0.8 (T = 9.55494890) to orbits that are not the
+    family's, where the whole-period solve fails as "period collapsed".
+
+    Raises :class:`OrbitSolveError` on non-convergence, a collapsed or
+    runaway period or a failed integration. When a cold solve fails this way
+    (other than in the integration) and ``two_segment_fallback`` is set, the
+    orbit is approached from below instead: :func:`continue_family` climbs
+    eps * j / 16, j = 1..16, with the fallback off, and its last rung is
+    returned marked ``used_fallback``. If any rung fails, the climb has left
+    the family: the seed solve's error is raised.
     """
     if not 0.0 < problem.epsilon < math.inf:
         raise ValueError(
             f"epsilon must be positive and finite, got {problem.epsilon}; "
             "the equilibrium itself is the eps = 0 limit")
     t0 = 2.0 * math.pi / problem.omega
+    T = float(t0 if T_init is None else T_init)
     if x_init is None:
         x, _ = initial_guess(problem, seed_angle)
-    else:
-        x = np.array(x_init, dtype=float)
-    T = float(t0 if T_init is None else T_init)
+        return _rescued(problem, lambda: _shoot(problem, x, T, t0))
+    x = np.array(x_init, dtype=float)
+    found = reversors(problem.bundle, problem.equilibrium)
+    signs = found[0] if found and np.array_equal(found[0] * x, x) else None
+    return _shoot(problem, x, T, t0, signs)
+
+
+def _rescued(problem: OrbitProblem, solve) -> PeriodicOrbit:
+    """``solve()`` from a linearization seed, with the ladder rescue of
+    :func:`solve_orbit` when it fails other than in the integration."""
     try:
-        return _shoot(problem, x, T, t0)
-    except IntegrationError as exc:
-        raise OrbitSolveError(f"integration failed during shooting: {exc}") from exc
-    except OrbitSolveError:
-        if x_init is not None or not problem.settings.two_segment_fallback:
+        return solve()
+    except OrbitSolveError as exc:
+        if isinstance(exc.__cause__, IntegrationError) or not problem.settings.two_segment_fallback:
             raise
         eps = problem.epsilon
         rungs = [eps * j / FALLBACK_RUNGS for j in range(1, FALLBACK_RUNGS + 1)]
@@ -246,15 +326,29 @@ def solve_orbit(
         return replace(family.rows[-1][1], used_fallback=True)
 
 
-def _shoot(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
-    """Gauss-Newton single shooting from the point x and the period T.
+def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
+    """Gauss-Newton shooting from the point x and the period T.
 
-    Each iteration integrates once and evaluates one residual: the closure
-    gap, the level offsets of ``constraints + (integral,)`` and the phase.
-    The Jacobian rows are the derivatives of those same entries, and the
-    returned orbit reports its residuals from that one evaluation. The solve
-    ends when every entry is below ``tol_orbit``, after ``max_iter`` steps,
-    or when the period leaves [0.1, 10] x t0.
+    One loop serves two residual layouts. Each iteration integrates once and
+    evaluates one residual whose Jacobian rows are the derivatives of its
+    entries, and the returned orbit reports its residuals from that one
+    evaluation.
+
+    - Whole period (``signs`` None): the unknowns are x and T, the residual
+      stacks the closure gap phi_T(x) - x, the level offsets of
+      ``constraints + (integral,)`` and the phase, and the monodromy is the
+      integrated Phi(T).
+    - Half period (``signs``, the diagonal of a reversor R with R x = x):
+      the unknowns are the +1 coordinates of x and tau = T / 2, and the
+      residual stacks the -1 coordinates of y = phi_tau(x) (y on Fix(R)) and
+      the level offsets; Fix(R) meets the orbit at isolated points, so no
+      phase row. Since phi_t(R z) = R phi_-t(z), the monodromy is
+      R Phi(tau)^-1 R Phi(tau), and phi_T(x) - x is R Phi(tau)^-1 (R y - y)
+      to first order: the closure reported, and checked entry by entry with
+      the residual.
+
+    The solve ends when every entry is below ``tol_orbit``, after
+    ``max_iter`` steps, or when the period leaves [0.1, 10] x t0.
     """
     bundle = problem.bundle
     settings = problem.settings
@@ -264,18 +358,32 @@ def _shoot(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
     targets = [q.value(problem.equilibrium) for q in quantities]
     targets[-1] += problem.epsilon**2
     m = len(quantities)
-    phase_anchor = x.copy()
-    phase_dir = f(phase_anchor)
+    if signs is None:
+        phase_anchor = x.copy()
+        phase_dir = f(phase_anchor)
+    else:
+        plus, minus = signs > 0, signs < 0
+    span = T if signs is None else 0.5 * T  # the time integrated
     last = math.inf
 
     for iteration in range(settings.max_iter + 1):
-        end, mono = flow_with_monodromy(bundle.field, x, T, settings.ode)
-        gap = end - x
+        try:
+            end, mono = flow_with_monodromy(f, x, span, settings.ode)
+        except IntegrationError as exc:
+            raise OrbitSolveError(f"integration failed during shooting: {exc}") from exc
         levels = np.array([q.value(x) - c for q, c in zip(quantities, targets)])
-        phase = float(phase_dir @ (x - phase_anchor))
-        residual = np.concatenate((gap, levels, [phase]))
-        last = float(np.max(np.abs(residual)))
+        if signs is None:
+            gap = end - x
+            phase = float(phase_dir @ (x - phase_anchor))
+            residual = np.concatenate((gap, levels, [phase]))
+            last = float(np.max(np.abs(residual)))
+        else:
+            residual = np.concatenate((end[minus], levels))
+            gap = np.linalg.solve(mono, (signs - 1.0) * end)
+            last = float(np.max(np.abs(np.concatenate((residual, gap)))))
         if last < settings.tol_orbit:
+            if signs is not None:
+                mono = signs[:, None] * np.linalg.solve(mono, signs[:, None] * mono)
             return PeriodicOrbit(
                 point=x.copy(),
                 period=float(T),
@@ -292,16 +400,28 @@ def _shoot(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
         if iteration == settings.max_iter:
             break
 
-        jac = np.zeros((n + m + 1, n + 1))
-        jac[:n, :n] = mono - np.eye(n)
-        jac[:n, n] = f(end)
-        for i, q in enumerate(quantities):
-            jac[n + i, :n] = q.gradient(x)
-        jac[n + m, :n] = phase_dir
+        if signs is None:
+            jac = np.zeros((n + m + 1, n + 1))
+            jac[:n, :n] = mono - np.eye(n)
+            jac[:n, n] = f(end)
+            for i, q in enumerate(quantities):
+                jac[n + i, :n] = q.gradient(x)
+            jac[n + m, :n] = phase_dir
+        else:
+            jac = np.zeros((minus.sum() + m, plus.sum() + 1))
+            jac[:-m, :-1] = mono[np.ix_(minus, plus)]
+            jac[:-m, -1] = f(end)[minus]
+            for i, q in enumerate(quantities):
+                jac[i - m, :-1] = q.gradient(x)[plus]
 
         step = np.linalg.lstsq(jac, -residual, rcond=settings.svd_cutoff)[0]
-        x = x + step[:n]
-        T = T + step[n]
+        if signs is None:
+            x = x + step[:-1]
+        else:
+            x = x.copy()
+            x[plus] += step[:-1]
+        span = span + step[-1]
+        T = span if signs is None else 2.0 * span
         if not np.all(np.isfinite(x)):
             raise OrbitSolveError("iterate became non-finite", last_residual=last)
         if not np.isfinite(T) or T < 0.1 * t0 or T > 10.0 * t0:
@@ -320,11 +440,17 @@ def _shoot(problem: OrbitProblem, x, T, t0) -> PeriodicOrbit:
 def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
     """Solve a list of offsets in ascending order, warm-starting each one.
 
-    ``epsilons`` must be positive and ascending. The first offset is solved
-    from the linearization seed; each later one starts once from the last
+    ``epsilons`` must be positive and ascending. When the bundle has a
+    reversor R at x0 (the first of :func:`reversors`), every row is shot
+    over half a period from Fix(R) back to Fix(R): the first offset from the
+    line where the oscillation plane meets Fix(R), scaled as
+    :func:`initial_guess` scales, with tau0 = pi / omega, and rescued as a
+    cold :func:`solve_orbit` is. Without a reversor the first offset is a
+    cold :func:`solve_orbit`. Each later offset starts once from the last
     converged orbit scaled out from the equilibrium by the eps ratio (the
-    family grows linearly to leading order) and from its period. Failed rows
-    are recorded and skipped; the call raises only when no offset converges.
+    family grows linearly to leading order; Fix(R) is a linear space through
+    x0, so the start stays on it) and from its period. Failed rows are
+    recorded and skipped; the call raises only when no offset converges.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -335,6 +461,8 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
         raise ValueError("epsilons must be sorted ascending")
 
     x0 = problem.equilibrium
+    found = reversors(problem.bundle, x0)
+    signs = found[0] if found else None
     rows: list[tuple[float, PeriodicOrbit]] = []
     failures: dict[float, str] = {}
     for eps in eps_list:
@@ -344,8 +472,11 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
                 prev_eps, prev_orbit = rows[-1]
                 warm = x0 + (eps / prev_eps) * (prev_orbit.point - x0)
                 orbit = solve_orbit(sub, x_init=warm, T_init=prev_orbit.period)
-            else:
+            elif signs is None:
                 orbit = solve_orbit(sub)
+            else:
+                seed = _symmetric_guess(sub, signs)
+                orbit = _rescued(sub, lambda: solve_orbit(sub, x_init=seed))
         except (OrbitSolveError, EigenplaneDegenerate) as exc:
             failures[eps] = str(exc)
             continue

@@ -171,14 +171,20 @@ class Polynomial:
         return float(total)
 
     def evaluate_many(self, states) -> np.ndarray:
-        """Evaluate at every row of ``states`` (m x n), vectorized."""
+        """Evaluate at every row of ``states`` (m x n), vectorized.
+
+        Each monomial is built from the state columns by repeated products,
+        one multiplication per unit of its degree.
+        """
         states = np.asarray(states, dtype=float)
-        if not self._terms:
-            return np.zeros(states.shape[0])
-        coeffs = np.array([c for c, _ in self._terms])
-        exps = np.array([e for _, e in self._terms])  # (t, n)
-        monos = np.prod(states[:, None, :] ** exps[None, :, :], axis=2)
-        return monos @ coeffs
+        columns = states.T
+        monos = np.ones((states.shape[0], len(self._terms)))
+        for i, (_, e) in enumerate(self._terms):
+            mono = monos[:, i]
+            for j, k in enumerate(e):
+                for _ in range(k):
+                    mono *= columns[j]
+        return monos @ np.array([c for c, _ in self._terms])
 
     __call__ = evaluate
 

@@ -321,6 +321,19 @@ def test_verify_realization_rejects_other_systems(tmp_path, capsys):
     assert "rigid_body" in err
 
 
+@pytest.mark.parametrize(
+    "value, named", [("x", '"x"'), (True, "true"), (None, "null")], ids=["string", "bool", "null"]
+)
+def test_verify_realization_rejects_a_parameter_that_is_not_a_number(
+    value, named, tmp_path, capsys
+):
+    cfg = write_config(tmp_path, params={**RIGID_PARAMS, "a2": value})
+    code, out, err = run(capsys, "verify-realization", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert "a2" in err and named in err
+
+
 # -- cross-cutting ------------------------------------------------------------
 
 

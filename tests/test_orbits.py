@@ -362,3 +362,92 @@ def test_integrator_failure_is_reported_by_the_solve(rigid_bundle, rigid_e1):
     error = _rigid_seed_solve(rigid_bundle, rigid_e1, 0.3, ode=pb.ToleranceSettings(max_steps=2))
     assert str(error) == "integration failed during shooting: max steps exceeded (2)"
     assert error.last_residual is None
+
+
+# -- reversible half-period shooting --------------------------------------------
+
+
+def test_builtin_reversors_are_found_exactly(rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1):
+    rigid = pb.reversors(rigid_bundle, rigid_e1)
+    assert [s.tolist() for s in rigid] == [[1, 1, -1], [1, -1, 1]]
+    clebsch = pb.reversors(clebsch_bundle, clebsch_e1)
+    assert [s.tolist() for s in clebsch] == [[1, 1, -1, 1, 1, -1], [1, -1, 1, 1, -1, 1]]
+    # (x, p) -> (x, -p) reverses the field but flips D = x . p
+    flip_p = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    x = np.random.default_rng(3).normal(size=6)
+    f = clebsch_bundle.field
+    np.testing.assert_allclose(flip_p * f(flip_p * x), -f(x), rtol=0, atol=1e-14)
+    d = clebsch_bundle.constraints[1]
+    assert d.value(flip_p * x) == pytest.approx(-d.value(x))
+    assert not any(np.array_equal(s, flip_p) for s in clebsch)
+
+
+def _euler_bundle():
+    """x' = x cross A x for a symmetric A with A e1 = e1 / 2 and a coupled
+    (x2, x3) block. It keeps C = |x|^2 / 2 and, critical at e1, the integral
+    I = (x.Ax - |x|^2 / 2) / 2, built by hand from the energy and C. The term
+    x2^2 of f1 is even in every sign flip, so no sign matrix reverses f."""
+    a = np.array([[0.5, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 2.0]])
+    unit = [pb.Polynomial(3, [(1.0, tuple(int(i == j) for i in range(3)))]) for j in range(3)]
+    ax = [sum((unit[k].scale(a[i, k]) for k in range(3) if a[i, k]), pb.Polynomial.zero(3))
+          for i in range(3)]
+    field = [unit[(i + 1) % 3] * ax[(i + 2) % 3] - unit[(i + 2) % 3] * ax[(i + 1) % 3]
+             for i in range(3)]
+    square = sum((u * u for u in unit), pb.Polynomial.zero(3))
+    energy = sum((unit[i] * ax[i] for i in range(3)), pb.Polynomial.zero(3))
+    return pb.SystemBundle(
+        "euler",
+        pb.PolynomialVectorField(field),
+        [pb.ConservedQuantity("C", square.scale(0.5))],
+        pb.ConservedQuantity("I", (energy - square.scale(a[0, 0])).scale(0.5), "integral"),
+    )
+
+
+def test_a_field_without_reversor_keeps_the_whole_period_layout():
+    bundle = _euler_bundle()
+    x0 = np.array([1.0, 0.0, 0.0])
+    assert pb.reversors(bundle, x0) == []
+    omega = pb.check_theorem(bundle, x0).omegas[0]
+    assert omega == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    problem = pb.orbit_problem(bundle, x0, omega, 0.2)
+    family = pb.continue_family(problem, [0.05, 0.1, 0.2])
+    assert family.failures == {}
+    # the first row is the cold whole-period solve, to the bit
+    cold = pb.solve_orbit(replace(problem, epsilon=0.05))
+    np.testing.assert_array_equal(family.rows[0][1].point, cold.point)
+    assert family.rows[0][1].period == cold.period
+    # pinned periods of the whole-period shooting
+    expected = [8.930616149273185, 9.070473596005522, 9.728473453997816]
+    assert family.periods() == pytest.approx(expected, rel=1e-12)
+
+
+def test_half_period_rows_lie_on_fix_r_and_match_the_quadrature_oracle(rigid_family):
+    for eps, orbit in rigid_family.rows:
+        assert orbit.point[2] == 0.0  # on Fix(diag(1, 1, -1))
+        assert orbit.period == pytest.approx(rigid_reference_period(eps), abs=1e-8)
+
+
+def test_closure_residual_is_the_fresh_whole_period_gap(
+    rigid_family, rigid_bundle, clebsch_families, clebsch_bundle
+):
+    tol = pb.SolverSettings().tol_orbit
+    families = [(rigid_bundle, rigid_family)]
+    families += [(clebsch_bundle, family) for family in clebsch_families.values()]
+    for bundle, family in families:
+        for _, orbit in family.rows:
+            end, _ = pb.flow_with_monodromy(bundle.field, orbit.point, orbit.period)
+            gap = float(np.linalg.norm(end - orbit.point))
+            assert abs(orbit.closure_residual - gap) <= tol
+
+
+def test_nontrivial_floquet_multipliers_match_a_fresh_monodromy(clebsch_families, clebsch_bundle):
+    def nontrivial(mu):
+        pair = mu[np.argsort(np.abs(mu - 1.0))[-2:]]
+        return sorted(pair, key=lambda z: (z.real, z.imag))
+
+    for family in clebsch_families.values():
+        for _, orbit in family.rows:
+            assert np.all(orbit.point[[2, 5]] == 0.0)  # on Fix(diag(1, 1, -1, 1, 1, -1))
+            fresh = np.linalg.eigvals(pb.monodromy(clebsch_bundle.field, orbit.point, orbit.period))
+            got = nontrivial(orbit.floquet_multipliers)
+            np.testing.assert_allclose(got, nontrivial(fresh), rtol=0, atol=1e-8)
