@@ -12,7 +12,10 @@ hot path,
 its fundamental matrix by Taylor series instead: the fields are polynomial,
 so Cauchy products give the Taylor coefficients of both exactly (jet
 transport; Jorba and Zou, Exp. Math. 14 (2005) 99-117), and one high-order
-step spans a sizeable fraction of a period. The systems here are small and
+step spans a sizeable fraction of a period. The columns of the fundamental
+matrix are tangent vectors carried next to the state in one array, so each
+order takes one Cauchy product per degree for both, and each step's sum is
+one product with the powers of the step. The systems here are small and
 non-stiff, so no implicit or symplectic machinery is provided; conservation
 is monitored by :func:`drift_report` at tight tolerances instead. Negative
 time is the sign of the step: both integrators control the step's size and
@@ -255,46 +258,44 @@ def _taylor_order(settings: ToleranceSettings) -> int:
     return max(2, math.ceil(-math.log(min(settings.abs_tol, settings.rel_tol))))
 
 
-def _jets(arrays, x, p: int):
+def _jets(flat, degrees, weights, x, p: int):
     """Taylor coefficients up to t**p of the flow and its fundamental matrix.
 
-    Returns ``X`` with ``x(t) = sum_k X[k] t**k`` and ``R`` with
-    ``Phi(t) = sum_k R[p - k] t**k``, where dPhi/dt = J(x(t)) Phi and
-    Phi(0) = I. The degree-d term of the field takes one Cauchy product of
-    the series of the (d-1)-fold tensor power of x with X, then one
-    contraction with its coefficient array; the Jacobian series reuses the
-    same tensor-power series.
+    Returns ``Y`` of shape (p + 1, n, n + 1) with ``Y[k] = [X_k | Phi_k]``,
+    ``x(t) = sum_k X_k t**k`` and ``Phi(t) = sum_k Phi_k t**k``, where
+    dPhi/dt = J(x(t)) Phi and Phi(0) = I. The columns of Phi are tangent
+    vectors of x: a degree-d term T_d(x, ..., x) has the tangent
+    d T_d(x, ..., x, v). So per order and degree one Cauchy product of the
+    series of the (d-1)-fold tensor power of x with all n + 1 columns, then
+    one contraction with the flattened array ``flat[d]`` and the weights
+    (1, d, ..., d) / (k + 1) give both series. ``degrees`` lists the degrees
+    whose array is nonzero; the tensor-power series of x is built for every
+    degree below the largest of them, a zero array or not.
     """
     n = x.size
-    top = len(arrays) - 1
-    flat = [a.reshape(n, -1) for a in arrays]
-    X = np.zeros((p + 1, n))
-    X[0] = x
+    top = degrees[-1] if degrees else 0
+    Y = np.zeros((p + 1, n, n + 1))
+    Y[0, :, 0] = x
+    Y[0, :, 1:] = np.eye(n)
+    if 0 in degrees:  # the constant term enters x' only, and only at k = 0
+        Y[1, :, 0] = flat[0][:, 0]
+    rows = Y.reshape(p + 1, -1)
+    X = Y[:, :, 0]
     powers = [None, X] + [np.zeros((p, n**e)) for e in range(2, top)]
+    linear = 1 in degrees
     for k in range(p):
-        term = flat[1] @ X[k]
-        if k == 0:
-            term += arrays[0]
-        for d in range(2, top + 1):
-            product = (powers[d - 1][: k + 1].T @ X[k::-1]).ravel()
-            if d < top:
-                powers[d][k] = product
-            term += flat[d] @ product
-        X[k + 1] = term / (k + 1)
-
-    # J(x) = sum_d d T_d(x, ..., x, .), so J_m = sum_d d T_d . powers[d - 1][m]
-    jac = np.zeros((n * n, p))
-    for d in range(2, top + 1):
-        jac += d * arrays[d].reshape(n * n, -1) @ powers[d - 1][:p].T
-    jac = np.ascontiguousarray(jac.reshape(n, n, p).transpose(0, 2, 1))
-    jac[:, 0] += arrays[1]
-    jac = jac.reshape(n, p * n)  # J_0 | J_1 | ... | J_{p-1}
-    R = np.zeros((p + 1, n, n))  # reversed, so Phi_k, ..., Phi_0 is one slice
-    R[p] = np.eye(n)
-    rows = R.reshape(-1, n)
-    for k in range(p):
-        R[p - k - 1] = (jac[:, : (k + 1) * n] @ rows[(p - k) * n :]) / (k + 1)
-    return X, R
+        term = Y[k + 1]
+        if linear:
+            term += (flat[1] @ Y[k]) * weights[1][k]
+        for d in range(2, top + 1):  # ascending: degree d reads powers[d - 1][k]
+            if d in degrees:
+                product = (powers[d - 1][: k + 1].T @ rows[k::-1]).reshape(-1, n + 1)
+                if d < top:
+                    powers[d][k] = product[:, 0]
+                term += (flat[d] @ product) * weights[d][k]
+            else:  # a zero array: only the state column is needed
+                powers[d][k] = (powers[d - 1][: k + 1].T @ X[k::-1]).ravel()
+    return Y
 
 
 def _taylor_advance(arrays, x, t_end: float, settings: ToleranceSettings):
@@ -302,9 +303,11 @@ def _taylor_advance(arrays, x, t_end: float, settings: ToleranceSettings):
 
     The step size is Jorba and Zou's: the smallest radius (tol / |c_j|)**(1/j)
     over the last two coefficients c_j of both series, shrunk by
-    exp(-0.7 / (p - 1)). Taylor steps are never rejected. The state and the
-    step's fundamental matrix are summed by Horner's rule at the signed
-    step, and the matrices are composed step by step.
+    exp(-0.7 / (p - 1)). Taylor steps are never rejected. Each step sums the
+    state and its fundamental matrix at once, as one product of the powers
+    of the signed step with the coefficients, and the matrices are composed
+    step by step. The powers are a running product, so the step's sign
+    multiplies each odd power exactly.
     """
     n = x.size
     direction = math.copysign(1.0, t_end)
@@ -313,6 +316,13 @@ def _taylor_advance(arrays, x, t_end: float, settings: ToleranceSettings):
     safety = math.exp(-0.7 / (p - 1))
     exps = np.array([1.0 / (p - 1), 1.0 / p] * 2)
     tol_m = settings.abs_tol + settings.rel_tol  # Phi starts at the identity
+    flat = [a.reshape(n, -1) for a in arrays]
+    degrees = [d for d, a in enumerate(arrays) if a.any()]
+    scale = np.ones((len(arrays), n + 1))
+    scale[:, 1:] = np.arange(len(arrays))[:, None]
+    weights = scale[:, None, :] / np.arange(1, p + 1)[:, None]  # weights[d][k]
+    hp = np.empty(p + 1)  # 1, s, s, ..., s: its running product is 1, s, s**2, ...
+    hp[0] = 1.0
     m = np.eye(n)
     t = 0.0
     steps = 0
@@ -321,23 +331,21 @@ def _taylor_advance(arrays, x, t_end: float, settings: ToleranceSettings):
         while t < t_end:
             if steps >= settings.max_steps:
                 raise IntegrationError(f"max steps exceeded ({settings.max_steps})")
-            X, R = _jets(arrays, x, p)
+            Y = _jets(flat, degrees, weights, x, p)
             tol_x = settings.abs_tol + settings.rel_tol * float(np.max(np.abs(x)))
-            norms = np.concatenate((np.abs(X[p - 1 :]).max(axis=1), np.abs(R[1::-1]).max(axis=(1, 2))))
+            tail = np.abs(Y[p - 1 :])
+            norms = np.concatenate((tail[:, :, 0].max(axis=1), tail[:, :, 1:].max(axis=(1, 2))))
             radius = float(np.min((np.array([tol_x, tol_x, tol_m, tol_m]) / norms) ** exps))
             h = min(safety * radius, settings.h_max)
             if not h >= settings.h_min:  # also catches a NaN radius
                 raise IntegrationError(f"step underflow: h = {h:.3e} at t = {t:.6g}")
             h = min(h, t_end - t)
-            coeffs = np.concatenate((X, R[::-1].reshape(p + 1, -1)), axis=1)
-            y = coeffs[p]
-            signed = direction * h
-            for c in coeffs[p - 1 :: -1]:
-                y = y * signed + c
+            hp[1:] = direction * h
+            y = (np.cumprod(hp) @ Y.reshape(p + 1, -1)).reshape(n, n + 1)
             t += h
             steps += 1
-            x = y[:n]
-            m = y[n:].reshape(n, n) @ m
+            x = y[:, 0]
+            m = y[:, 1:] @ m
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(f"non-finite state at t = {t:.6g}")
     return x, m

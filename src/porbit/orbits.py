@@ -121,7 +121,11 @@ def orbit_problem(
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A converged orbit: a point on it, its period, and quality measures."""
+    """A converged orbit: a point on it, its period, and quality measures.
+
+    ``floquet_multipliers`` are the monodromy's eigenvalues by descending
+    |mu - 1|, ties by descending imaginary part.
+    """
 
     point: np.ndarray
     period: float
@@ -300,10 +304,17 @@ def solve_orbit(
     if x_init is None:
         x, _ = initial_guess(problem, seed_angle)
         return _rescued(problem, lambda: _shoot(problem, x, T, t0))
-    x = np.array(x_init, dtype=float)
     found = reversors(problem.bundle, problem.equilibrium)
-    signs = found[0] if found and np.array_equal(found[0] * x, x) else None
-    return _shoot(problem, x, T, t0, signs)
+    return _warm_shoot(problem, np.array(x_init, dtype=float), T, found[0] if found else None)
+
+
+def _warm_shoot(problem: OrbitProblem, x, T: float, signs) -> PeriodicOrbit:
+    """:func:`_shoot` from a warm start, over half a period when ``signs`` is
+    the diagonal of a reversor and x lies on its Fix(R), else over the whole
+    period."""
+    t0 = 2.0 * math.pi / problem.omega
+    on_fix = signs is not None and np.array_equal(signs * x, x)
+    return _shoot(problem, x, T, t0, signs if on_fix else None)
 
 
 def _rescued(problem: OrbitProblem, solve) -> PeriodicOrbit:
@@ -392,7 +403,7 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
                     q.name: float(abs(r)) for q, r in zip(bundle.constraints, levels)
                 },
                 level_residual=float(abs(levels[-1])),
-                floquet_multipliers=np.linalg.eigvals(mono),
+                floquet_multipliers=_floquet_multipliers(mono),
                 iterations=iteration,
                 epsilon=problem.epsilon,
                 omega_ref=problem.omega,
@@ -437,20 +448,32 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
     )
 
 
+def _floquet_multipliers(mono: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the monodromy, farthest from 1 first.
+
+    Ties, such as a complex-conjugate pair, go by descending imaginary part,
+    so the order is fixed by the values and not by ``eigvals``' round-off,
+    and a nontrivial pair leads.
+    """
+    mu = np.linalg.eigvals(mono)
+    return mu[np.lexsort((-mu.imag, -np.abs(mu - 1.0)))]
+
+
 def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
     """Solve a list of offsets in ascending order, warm-starting each one.
 
     ``epsilons`` must be positive and ascending. When the bundle has a
-    reversor R at x0 (the first of :func:`reversors`), every row is shot
-    over half a period from Fix(R) back to Fix(R): the first offset from the
-    line where the oscillation plane meets Fix(R), scaled as
-    :func:`initial_guess` scales, with tau0 = pi / omega, and rescued as a
-    cold :func:`solve_orbit` is. Without a reversor the first offset is a
-    cold :func:`solve_orbit`. Each later offset starts once from the last
-    converged orbit scaled out from the equilibrium by the eps ratio (the
-    family grows linearly to leading order; Fix(R) is a linear space through
-    x0, so the start stays on it) and from its period. Failed rows are
-    recorded and skipped; the call raises only when no offset converges.
+    reversor R at x0 (the first of :func:`reversors`, found once per call
+    and handed to every row), every row is shot over half a period from
+    Fix(R) back to Fix(R): the first offset from the line where the
+    oscillation plane meets Fix(R), scaled as :func:`initial_guess` scales,
+    with tau0 = pi / omega, and rescued as a cold :func:`solve_orbit` is.
+    Without a reversor the first offset is a cold :func:`solve_orbit`. Each
+    later offset starts once from the last converged orbit scaled out from
+    the equilibrium by the eps ratio (the family grows linearly to leading
+    order; Fix(R) is a linear space through x0, so the start stays on it)
+    and from its period. Failed rows are recorded and skipped; the call
+    raises only when no offset converges.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -471,12 +494,12 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
             if rows:
                 prev_eps, prev_orbit = rows[-1]
                 warm = x0 + (eps / prev_eps) * (prev_orbit.point - x0)
-                orbit = solve_orbit(sub, x_init=warm, T_init=prev_orbit.period)
+                orbit = _warm_shoot(sub, warm, prev_orbit.period, signs)
             elif signs is None:
                 orbit = solve_orbit(sub)
             else:
-                seed = _symmetric_guess(sub, signs)
-                orbit = _rescued(sub, lambda: solve_orbit(sub, x_init=seed))
+                seed, t0 = _symmetric_guess(sub, signs), 2.0 * math.pi / sub.omega
+                orbit = _rescued(sub, lambda: _shoot(sub, seed, t0, t0, signs))
         except (OrbitSolveError, EigenplaneDegenerate) as exc:
             failures[eps] = str(exc)
             continue

@@ -101,6 +101,44 @@ def test_cubic_field_monodromy_gradient_covariance():
     assert np.max(np.abs(lhs - pb.gradient_exact(DUFFING_H, x))) < 1e-9
 
 
+# every degree from 0 to 3 is nonzero, so each branch of the jet recursion runs
+MIXED_DEGREES = PolynomialVectorField.from_terms(
+    3,
+    [
+        [(0.2, (0, 0, 0)), (-1.0, (0, 1, 0)), (0.3, (1, 0, 1)), (-0.2, (3, 0, 0))],
+        [(-0.1, (0, 0, 0)), (1.0, (1, 0, 0)), (0.4, (0, 1, 1)), (-0.3, (0, 3, 0)),
+         (0.1, (1, 1, 1))],
+        [(0.5, (0, 0, 0)), (-0.5, (0, 0, 1)), (-0.25, (1, 1, 0)), (-0.1, (0, 0, 3))],
+    ],
+)
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+def test_taylor_monodromy_matches_tight_dp5_on_every_degree(t_end):
+    assert all(a.any() for a in MIXED_DEGREES.coefficient_arrays())
+    x = np.array([0.6, -0.3, 0.4])
+    x_ref, m_ref = dp5_monodromy(MIXED_DEGREES, x, t_end, 1e-14)
+    x_end, m = pb.flow_with_monodromy(MIXED_DEGREES, x, t_end)
+    assert np.max(np.abs(x_end - x_ref)) < 1e-12
+    assert np.max(np.abs(m - m_ref)) < 1e-10
+
+
+@pytest.mark.parametrize("t_end", [2.7, -2.7])
+def test_affine_flow_and_monodromy_match_the_closed_form(t_end):
+    # x' = b + A x with A the rotation generator at rate w:
+    # x(t) = E x0 + A^-1 (E - I) b and Phi(t) = E, E = exp(A t)
+    w, b, x0 = 1.3, np.array([0.3, -0.2]), np.array([0.5, 0.1])
+    field = PolynomialVectorField.from_terms(
+        2, [[(b[0], (0, 0)), (-w, (0, 1))], [(b[1], (0, 0)), (w, (1, 0))]]
+    )
+    a = np.array([[0.0, -w], [w, 0.0]])
+    c, s = math.cos(w * t_end), math.sin(w * t_end)
+    e = np.array([[c, -s], [s, c]])
+    x_end, m = pb.flow_with_monodromy(field, x0, t_end)
+    assert np.max(np.abs(x_end - (e @ x0 + np.linalg.solve(a, (e - np.eye(2)) @ b)))) < 1e-13
+    assert np.max(np.abs(m - e)) < 1e-13
+
+
 def test_reversed_monodromy_inverts_the_forward_one(rigid_bundle, rigid_e1):
     x = rigid_e1 + np.array([0.0, 0.08, -0.03])
     x_end, m_forward = pb.flow_with_monodromy(rigid_bundle.field, x, 3.7)

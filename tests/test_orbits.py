@@ -440,6 +440,17 @@ def test_closure_residual_is_the_fresh_whole_period_gap(
             assert abs(orbit.closure_residual - gap) <= tol
 
 
+def test_floquet_multipliers_list_the_nontrivial_pair_first(clebsch_families):
+    for family in clebsch_families.values():
+        for _, orbit in family.rows:
+            mu = orbit.floquet_multipliers
+            distance = np.abs(mu - 1.0)
+            assert np.all(distance[:2] >= 1e-4) and np.all(distance[2:] < 1e-4)
+            assert np.all(np.diff(distance) <= 0.0)
+            if mu[0].imag != 0.0:  # a conjugate pair: the upper one first
+                assert mu[0].imag > 0.0 and mu[1] == np.conj(mu[0])
+
+
 def test_nontrivial_floquet_multipliers_match_a_fresh_monodromy(clebsch_families, clebsch_bundle):
     def nontrivial(mu):
         pair = mu[np.argsort(np.abs(mu - 1.0))[-2:]]
