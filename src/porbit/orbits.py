@@ -24,8 +24,9 @@ plane of the chosen +/- i omega pair, scaled so the integral offset is
 eps^2 to leading order, with T0 = 2 pi / omega; a reversible family starts
 where that plane meets Fix(R). The family shrinks onto the equilibrium as
 eps -> 0, so continuation climbs it from below: the smallest offset is
-solved from the seed, and each larger one starts from the previous orbit
-scaled out by the eps ratio. A seed solve that fails is retried the same
+solved from the seed, and each larger one starts from a prediction made of
+the converged rows below it, (x - x0) / eps interpolated in eps and T in
+eps^2 (see :func:`_predict`). A seed solve that fails is retried the same
 way, up a ladder of offsets below the requested one.
 """
 
@@ -47,6 +48,7 @@ from .systems import SystemBundle
 
 SWEEP_POINTS = 16  # directions round the oscillation plane tried by the seed
 FALLBACK_RUNGS = 16  # rungs eps * j / FALLBACK_RUNGS climbed when a seed solve fails
+PREDICTOR_ROWS = 4  # converged rows the continuation predictor interpolates at most
 _CANDIDATE_BLOCK = 4096  # sign matrices tested at once by reversors()
 
 
@@ -359,7 +361,9 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
       the residual.
 
     The solve ends when every entry is below ``tol_orbit``, after
-    ``max_iter`` steps, or when the period leaves [0.1, 10] x t0.
+    ``max_iter`` steps, or when the period leaves [0.1, 10] x t0, which is
+    checked before every integration, the first included: a start far out
+    of the window costs no integration over it.
     """
     bundle = problem.bundle
     settings = problem.settings
@@ -375,9 +379,14 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
     else:
         plus, minus = signs > 0, signs < 0
     span = T if signs is None else 0.5 * T  # the time integrated
-    last = math.inf
+    last = None
 
     for iteration in range(settings.max_iter + 1):
+        if not np.isfinite(T) or T < 0.1 * t0 or T > 10.0 * t0:
+            raise OrbitSolveError(
+                f"period collapsed: T = {T:.6g} wandered outside [0.1, 10] x {t0:.6g}",
+                last_residual=last,
+            )
         try:
             end, mono = flow_with_monodromy(f, x, span, settings.ode)
         except IntegrationError as exc:
@@ -435,11 +444,6 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
         T = span if signs is None else 2.0 * span
         if not np.all(np.isfinite(x)):
             raise OrbitSolveError("iterate became non-finite", last_residual=last)
-        if not np.isfinite(T) or T < 0.1 * t0 or T > 10.0 * t0:
-            raise OrbitSolveError(
-                f"period collapsed: T = {T:.6g} wandered outside [0.1, 10] x {t0:.6g}",
-                last_residual=last,
-            )
 
     raise OrbitSolveError(
         f"no convergence after {settings.max_iter} iterations "
@@ -469,11 +473,11 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
     oscillation plane meets Fix(R), scaled as :func:`initial_guess` scales,
     with tau0 = pi / omega, and rescued as a cold :func:`solve_orbit` is.
     Without a reversor the first offset is a cold :func:`solve_orbit`. Each
-    later offset starts once from the last converged orbit scaled out from
-    the equilibrium by the eps ratio (the family grows linearly to leading
-    order; Fix(R) is a linear space through x0, so the start stays on it)
-    and from its period. Failed rows are recorded and skipped; the call
-    raises only when no offset converges.
+    later offset starts once from :func:`_predict`: the point and period
+    interpolated through up to the last four converged rows, which with
+    one row is the previous orbit scaled out from the equilibrium by the
+    eps ratio. A repeated offset is solved again from its twin. Failed rows
+    are recorded and skipped; the call raises only when no offset converges.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -484,6 +488,7 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
         raise ValueError("epsilons must be sorted ascending")
 
     x0 = problem.equilibrium
+    t0 = 2.0 * math.pi / problem.omega
     found = reversors(problem.bundle, x0)
     signs = found[0] if found else None
     rows: list[tuple[float, PeriodicOrbit]] = []
@@ -492,13 +497,11 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
         sub = replace(problem, epsilon=eps)
         try:
             if rows:
-                prev_eps, prev_orbit = rows[-1]
-                warm = x0 + (eps / prev_eps) * (prev_orbit.point - x0)
-                orbit = _warm_shoot(sub, warm, prev_orbit.period, signs)
+                orbit = _warm_shoot(sub, *_predict(rows, eps, x0, t0), signs)
             elif signs is None:
                 orbit = solve_orbit(sub)
             else:
-                seed, t0 = _symmetric_guess(sub, signs), 2.0 * math.pi / sub.omega
+                seed = _symmetric_guess(sub, signs)
                 orbit = _rescued(sub, lambda: _shoot(sub, seed, t0, t0, signs))
         except (OrbitSolveError, EigenplaneDegenerate) as exc:
             failures[eps] = str(exc)
@@ -510,6 +513,49 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
             f"no epsilon converged out of {eps_list}; last error: {failures[eps_list[-1]]}"
         )
     return OrbitFamily(tuple(rows), problem.omega, failures)
+
+
+def _lagrange_weights(nodes, s: float) -> list[float]:
+    """Weights w with p(s) = sum_i w_i y_i for the polynomial p through the
+    points (nodes_i, y_i); the nodes must be distinct."""
+    weights = []
+    for i, a in enumerate(nodes):
+        w = 1.0
+        for j, b in enumerate(nodes):
+            if j != i:
+                w *= (s - b) / (a - b)
+        weights.append(w)
+    return weights
+
+
+def _predict(rows, eps: float, x0: np.ndarray, t0: float) -> tuple[np.ndarray, float]:
+    """Start of the row at eps, interpolated from the converged rows below it.
+
+    The family leaves x0 linearly and its period t0 = 2 pi / omega
+    quadratically in eps, so u = (x - x0) / eps is interpolated in eps
+    through the last q <= PREDICTOR_ROWS rows of distinct eps, and T in
+    eps^2 through the same rows and (0, t0). q is the largest whose weights
+    at eps sum in absolute value to at most 2^q - 1, their sum one step past
+    q equally spaced rows: a far step from clustered rows falls back towards
+    q = 1, the previous orbit scaled by the eps ratio. Rows on Fix(R) give a
+    start on Fix(R), a linear space through x0.
+    """
+    nodes = []  # one row per eps, newest first; rows ascend, so twins are adjacent
+    for e, orbit in reversed(rows):
+        if not nodes or e != nodes[-1][0]:
+            nodes.append((e, orbit))
+            if len(nodes) == PREDICTOR_ROWS:
+                break
+    for q in range(len(nodes), 0, -1):
+        w = _lagrange_weights([e for e, _ in nodes[:q]], eps)
+        # the slack admits rungs equally spaced up to round-off
+        if sum(abs(v) for v in w) <= (2**q - 1) * (1.0 + 1e-9):
+            break
+    nodes = nodes[:q]
+    u = sum(wi * (orbit.point - x0) / e for wi, (e, orbit) in zip(w, nodes))
+    w = _lagrange_weights([0.0] + [e * e for e, _ in nodes], eps * eps)
+    T = w[0] * t0 + sum(wi * orbit.period for wi, (_, orbit) in zip(w[1:], nodes))
+    return x0 + eps * u, T
 
 
 def sample_orbit(

@@ -309,6 +309,96 @@ def test_cold_solve_at_the_top_rung_climbs_the_ladder(clebsch_fast_ladder):
     assert orbit.period == pytest.approx(family.rows[-1][1].period, rel=1e-9)
 
 
+@pytest.fixture
+def fwm_calls(monkeypatch):
+    """Counts the flow_with_monodromy calls made by the shooting from here on."""
+    calls = [0]
+    real = pb.orbits.flow_with_monodromy
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pb.orbits, "flow_with_monodromy", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "epsilons",
+    [[0.1, 0.1, 0.2], [0.1, 0.2, 0.2, 0.3], [0.05, 0.1, 0.15, 0.15, 0.2]],
+    ids=["first", "middle", "third"],
+)
+def test_a_repeated_epsilon_is_solved_again_as_its_twin(rigid_bundle, rigid_e1, epsilons):
+    # the predictor interpolates through distinct eps only
+    problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, epsilons[-1])
+    family = pb.continue_family(problem, epsilons)
+    assert family.failures == {}
+    assert family.epsilons() == epsilons
+    for (eps, orbit), (prev_eps, prev) in zip(family.rows[1:], family.rows):
+        if eps == prev_eps:
+            assert orbit.period == pytest.approx(prev.period, rel=0, abs=1e-12)
+            np.testing.assert_allclose(orbit.point, prev.point, rtol=0, atol=1e-12)
+
+
+def _ladder(end: float) -> list[float]:
+    """The benchmark's rungs at M = 1: 0.05, 0.10, ... below 0.95 * end, then 0.95 * end."""
+    top = 0.95 * end
+    return [round(0.05 * i, 10) for i in range(1, 20) if 0.05 * i < top - 1e-9] + [top]
+
+
+def _families(rigid_bundle, clebsch_bundle):
+    """Bundle, omega and family end of the three families at M = 1, by name."""
+    return {
+        "rigid": (rigid_bundle, 1.0, 1.0 / ROOT2),
+        "slow": (clebsch_bundle, 1.0, 1.0 / ROOT2),
+        "fast": (clebsch_bundle, ROOT2, 1.0),
+    }
+
+
+def test_predicted_rows_take_fewer_than_two_iterations_on_average(rigid_bundle, clebsch_bundle):
+    # the previous orbit scaled by the eps ratio took 2.77 on these ladders
+    iterations = []
+    for bundle, omega, end in _families(rigid_bundle, clebsch_bundle).values():
+        rungs = _ladder(end)
+        problem = pb.orbit_problem(bundle, bundle.equilibrium("e1", 1.0), omega, rungs[-1])
+        family = pb.continue_family(problem, rungs)
+        assert family.failures == {}
+        iterations += [orbit.iterations for _, orbit in family.rows]
+    assert sum(iterations) / len(iterations) < 2.0
+
+
+IRREGULAR_LADDERS = {
+    "coarse": [0.05, 0.3, 0.6],
+    "clustered": [0.01, 0.011, 0.012, 0.013, 0.6],
+    "uneven": [0.05, 0.07, 0.2, 0.21, 0.5, 0.52, 0.66],
+}
+# flow_with_monodromy calls of the scaled warm start on each ladder
+SCALED_START_CALLS = {
+    "rigid": {"coarse": 12, "clustered": 14, "uneven": 27},
+    "slow": {"coarse": 14, "clustered": 15, "uneven": 28},
+    "fast": {"coarse": 12, "clustered": 14, "uneven": 23},
+}
+
+
+@pytest.mark.parametrize("ladder", IRREGULAR_LADDERS)
+@pytest.mark.parametrize("name", SCALED_START_CALLS)
+def test_irregular_ladders_converge_in_no_more_integrations(
+    rigid_bundle, clebsch_bundle, fwm_calls, name, ladder
+):
+    # the ladders scale with the family's end, eps_end * sqrt(2); the degree
+    # guard keeps a far step from clustered rows near the scaled start
+    bundle, omega, end = _families(rigid_bundle, clebsch_bundle)[name]
+    rungs = [e * end * ROOT2 for e in IRREGULAR_LADDERS[ladder]]
+    assert rungs[-1] < 0.95 * end
+    problem = pb.orbit_problem(bundle, bundle.equilibrium("e1", 1.0), omega, rungs[-1])
+    family = pb.continue_family(problem, rungs)
+    assert family.failures == {}
+    assert fwm_calls[0] <= SCALED_START_CALLS[name][ladder]
+    if name == "rigid":
+        for eps, T in zip(family.epsilons(), family.periods()):
+            assert T == pytest.approx(rigid_reference_period(eps), rel=1e-10)
+
+
 # -- resonance and failure messages ---------------------------------------------
 
 
@@ -350,6 +440,29 @@ def test_ladder_rescue_past_the_family_end_fails_as_period_collapsed(rigid_bundl
     with pytest.raises(pb.OrbitSolveError) as info:
         pb.solve_orbit(problem)
     assert str(info.value).startswith("period collapsed")
+
+
+def test_ladder_rescue_at_eps_one_fails_as_period_collapsed(rigid_bundle, rigid_e1):
+    # the rescue's predicted starts past the family's end leave the period
+    # window, so it no longer returns a T = 6.28319549 that is not the family's
+    problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, 1.0)
+    with pytest.raises(pb.OrbitSolveError) as info:
+        pb.solve_orbit(problem)
+    assert str(info.value).startswith("period collapsed")
+
+
+def test_an_infeasible_offset_fails_in_a_bounded_number_of_integrations(
+    rigid_bundle, rigid_e1, fwm_calls
+):
+    # the seed solve and the rescue's rungs past the family's end; the period
+    # window is checked before each integration, so a far predicted period
+    # costs none (the scaled start took 60 calls)
+    problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, 5.0)
+    assert problem.settings.two_segment_fallback
+    with pytest.raises(pb.OrbitSolveError) as info:
+        pb.solve_orbit(problem)
+    assert str(info.value).startswith("period collapsed")
+    assert fwm_calls[0] <= 30
 
 
 def test_iteration_limit_fails_as_no_convergence(rigid_bundle, rigid_e1):
@@ -416,8 +529,9 @@ def test_a_field_without_reversor_keeps_the_whole_period_layout():
     cold = pb.solve_orbit(replace(problem, epsilon=0.05))
     np.testing.assert_array_equal(family.rows[0][1].point, cold.point)
     assert family.rows[0][1].period == cold.period
-    # pinned periods of the whole-period shooting
-    expected = [8.930616149273185, 9.070473596005522, 9.728473453997816]
+    # periods of cold solves at each offset with tol_orbit = 1e-13 and ODE
+    # tolerances 1e-14, an independent reference for the continued rows
+    expected = [8.930616149277828, 9.07047359600949, 9.728473454062756]
     assert family.periods() == pytest.approx(expected, rel=1e-12)
 
 
