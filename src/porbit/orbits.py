@@ -12,17 +12,19 @@ Taylor integrator, which also samples converged orbits.
 
 When the bundle is reversible at x0, by a sign matrix R with
 R f(R x) = -f(x) that fixes x0 and every conserved quantity
-(:func:`reversors`), the orbits of a family are symmetric and meet Fix(R)
-twice, half a period apart (Devaney, Trans. AMS 218 (1976)). The same
-Gauss-Newton loop then shoots from Fix(R) back to Fix(R) over tau = T / 2,
-with the +1 coordinates of x and tau as unknowns and no phase condition;
-each iteration integrates half a period. The whole-period closure and the
-monodromy follow from the half period (see :func:`_shoot`).
+(:func:`reversors`), a symmetric orbit meets Fix(R) twice, half a period
+apart (Devaney, Trans. AMS 218 (1976)), and Fix(R1) and Fix(R2) of two
+reversors a quarter period apart (Lamb and Roberts, Physica D 112 (1998)).
+The same Gauss-Newton loop then shoots a family from Fix(R1) to Fix(R2)
+over tau = T / 4, or back to Fix(R1) over T / 2 (:func:`_layouts`), with
+the +1 coordinates of x and tau as unknowns and no phase condition. The
+whole-period closure and the monodromy follow by reflection (see
+:func:`_shoot`).
 
 Seeding comes from the linearization: the guess sits in the oscillation
 plane of the chosen +/- i omega pair, scaled so the integral offset is
 eps^2 to leading order, with T0 = 2 pi / omega; a reversible family starts
-where that plane meets Fix(R). The family shrinks onto the equilibrium as
+where that plane meets Fix(R1). The family shrinks onto the equilibrium as
 eps -> 0, so continuation climbs it from below: the smallest offset is
 solved from the seed, and each larger one starts from a prediction made of
 the converged rows below it, (x - x0) / eps interpolated in eps and T in
@@ -252,21 +254,39 @@ def reversors(bundle: SystemBundle, equilibrium) -> list[np.ndarray]:
     return found
 
 
-def _symmetric_guess(problem: OrbitProblem, signs: np.ndarray) -> np.ndarray:
-    """Linearization seed on Fix(R), R = diag(signs).
+def _fix_line(problem: OrbitProblem, signs: np.ndarray) -> np.ndarray:
+    """Coordinates, in the orthonormal oscillation plane, of the unit vector
+    where the plane meets Fix(R), R = diag(signs): the null vector of the
+    plane's rows at the -1 coordinates, its larger entry made positive."""
+    z = np.linalg.svd(_orthonormal_plane(*problem.eigenplane)[signs < 0])[2][-1]
+    return z * math.copysign(1.0, z[np.argmax(np.abs(z))])
 
-    The direction is where the oscillation plane meets Fix(R): the null
-    vector of the plane's rows at the -1 coordinates, its larger entry made
-    positive. It is scaled as in :func:`initial_guess`, and the -1
-    coordinates are set to those of x0.
-    """
-    minus = signs < 0
-    plane = _orthonormal_plane(*problem.eigenplane)
-    z = np.linalg.svd(plane[minus])[2][-1]
-    z = z * math.copysign(1.0, z[np.argmax(np.abs(z))])
+
+def _symmetric_guess(problem: OrbitProblem, signs: np.ndarray) -> np.ndarray:
+    """Linearization seed on Fix(R), R = diag(signs): the direction of
+    :func:`_fix_line`, scaled as in :func:`initial_guess`, with the -1
+    coordinates set to those of x0."""
+    z = _fix_line(problem, signs)
     x, _ = initial_guess(problem, math.atan2(z[1], z[0]))
-    x[minus] = problem.equilibrium[minus]
+    x[signs < 0] = problem.equilibrium[signs < 0]
     return x
+
+
+def _layouts(problem: OrbitProblem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The reversible layouts (R1, R2) of :func:`_shoot`, in the order tried.
+
+    R1 is the first of :func:`reversors`. The linearized orbit from d on the
+    line of :func:`_fix_line` is at J d / omega (J the Jacobian at x0) a
+    quarter period later. R2 is the first other reversor whose fixed set
+    holds that point, to 1e-8 relative; the half layout (R1, R1) comes last.
+    """
+    found = reversors(problem.bundle, problem.equilibrium)
+    if not found:
+        return []
+    d = _orthonormal_plane(*problem.eigenplane) @ _fix_line(problem, found[0])
+    quarter = np.abs(jacobian_exact(problem.bundle.field, problem.equilibrium) @ d)
+    pairs = [(found[0], r) for r in found[1:] if np.all(quarter[r < 0] <= 1e-8 * quarter.max())]
+    return pairs[:1] + [(found[0], found[0])]
 
 
 def solve_orbit(
@@ -278,13 +298,14 @@ def solve_orbit(
     """Gauss-Newton shooting for one periodic orbit.
 
     ``x_init`` and ``T_init`` override the linearization seed (used by
-    continuation warm starts). A warm start on Fix(R), R the first of
-    :func:`reversors`, is shot over half a period, from Fix(R) back to
-    Fix(R); any other start is shot over the whole period (see
-    :func:`_shoot`). A cold solve (no ``x_init``) starts from
-    :func:`initial_guess` at ``seed_angle`` and stays on the whole period,
-    because the symmetric seed of :func:`continue_family` is worse as a
-    lone start: on the rigid body at M = 1, whose family ends at
+    continuation warm starts). A warm start on Fix(R1) is shot in the
+    layouts of :func:`_layouts`: over a quarter period to Fix(R2), and over
+    half a period back to Fix(R1) when there is no R2 or that fails. Any
+    other start is shot over the whole period (see :func:`_shoot`). A cold
+    solve (no ``x_init``) starts from :func:`initial_guess` at
+    ``seed_angle`` and stays on the whole period, because the symmetric
+    seed of :func:`continue_family` is worse as a lone start: on the rigid
+    body at M = 1, whose family ends at
     eps = 1/sqrt(2), cold half-period solves converge at eps = 0.72
     (T = 45.67) and eps = 0.8 (T = 9.55494890) to orbits that are not the
     family's, where the whole-period solve fails as "period collapsed".
@@ -306,17 +327,22 @@ def solve_orbit(
     if x_init is None:
         x, _ = initial_guess(problem, seed_angle)
         return _rescued(problem, lambda: _shoot(problem, x, T, t0))
-    found = reversors(problem.bundle, problem.equilibrium)
-    return _warm_shoot(problem, np.array(x_init, dtype=float), T, found[0] if found else None)
+    return _warm_shoot(problem, np.array(x_init, dtype=float), T, _layouts(problem))
 
 
-def _warm_shoot(problem: OrbitProblem, x, T: float, signs) -> PeriodicOrbit:
-    """:func:`_shoot` from a warm start, over half a period when ``signs`` is
-    the diagonal of a reversor and x lies on its Fix(R), else over the whole
-    period."""
+def _warm_shoot(problem: OrbitProblem, x, T: float, layouts) -> PeriodicOrbit:
+    """:func:`_shoot` from a warm start: in each of ``layouts`` in turn, the
+    last one's failure raised, when x lies on their Fix(R1), else over the
+    whole period."""
     t0 = 2.0 * math.pi / problem.omega
-    on_fix = signs is not None and np.array_equal(signs * x, x)
-    return _shoot(problem, x, T, t0, signs if on_fix else None)
+    if not layouts or not np.array_equal(layouts[0][0] * x, x):
+        layouts = [None]
+    for pair in layouts[:-1]:
+        try:
+            return _shoot(problem, x, T, t0, pair)
+        except OrbitSolveError:
+            pass
+    return _shoot(problem, x, T, t0, layouts[-1])
 
 
 def _rescued(problem: OrbitProblem, solve) -> PeriodicOrbit:
@@ -339,7 +365,7 @@ def _rescued(problem: OrbitProblem, solve) -> PeriodicOrbit:
         return replace(family.rows[-1][1], used_fallback=True)
 
 
-def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
+def _shoot(problem: OrbitProblem, x, T, t0, pair=None) -> PeriodicOrbit:
     """Gauss-Newton shooting from the point x and the period T.
 
     One loop serves two residual layouts. Each iteration integrates once and
@@ -347,17 +373,21 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
     entries, and the returned orbit reports its residuals from that one
     evaluation.
 
-    - Whole period (``signs`` None): the unknowns are x and T, the residual
+    - Whole period (``pair`` None): the unknowns are x and T, the residual
       stacks the closure gap phi_T(x) - x, the level offsets of
       ``constraints + (integral,)`` and the phase, and the monodromy is the
       integrated Phi(T).
-    - Half period (``signs``, the diagonal of a reversor R with R x = x):
-      the unknowns are the +1 coordinates of x and tau = T / 2, and the
-      residual stacks the -1 coordinates of y = phi_tau(x) (y on Fix(R)) and
-      the level offsets; Fix(R) meets the orbit at isolated points, so no
-      phase row. Since phi_t(R z) = R phi_-t(z), the monodromy is
-      R Phi(tau)^-1 R Phi(tau), and phi_T(x) - x is R Phi(tau)^-1 (R y - y)
-      to first order: the closure reported, and checked entry by entry with
+    - Reversible (``pair`` = (R1, R2), the diagonals of two reversors, with
+      R1 x = x): the unknowns are the +1 coordinates of R1 in x and
+      tau = T / 4, and the residual stacks the -1 coordinates of R2 in
+      y = phi_tau(x) (y on Fix(R2)) and the level offsets; the fixed sets
+      meet the orbit at isolated points, so no phase row. R2 = R1 is the
+      half period, tau = T / 2. Since phi_t(R z) = R phi_-t(z), each
+      reflection R doubles the time integrated: with Phi the matrix over s,
+      phi_2s(x) = R x + R Phi^-1 (R p - p) to first order in the distance of
+      p = phi_s(x) from Fix(R), and Phi(2s) = R Phi^-1 R Phi. Reflecting in
+      R2, then in R1 (only R1 when R2 = R1), gives the monodromy and
+      phi_T(x) - x: the closure reported, and checked entry by entry with
       the residual.
 
     The solve ends when every entry is below ``tol_orbit``, after
@@ -373,12 +403,14 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
     targets = [q.value(problem.equilibrium) for q in quantities]
     targets[-1] += problem.epsilon**2
     m = len(quantities)
-    if signs is None:
+    if pair is None:
         phase_anchor = x.copy()
         phase_dir = f(phase_anchor)
+        reflections = ()
     else:
-        plus, minus = signs > 0, signs < 0
-    span = T if signs is None else 0.5 * T  # the time integrated
+        plus, minus = pair[0] > 0, pair[1] < 0
+        reflections = pair[1:] if np.array_equal(*pair) else pair[::-1]
+    span = T / 2 ** len(reflections)  # the time integrated
     last = None
 
     for iteration in range(settings.max_iter + 1):
@@ -392,18 +424,19 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
         except IntegrationError as exc:
             raise OrbitSolveError(f"integration failed during shooting: {exc}") from exc
         levels = np.array([q.value(x) - c for q, c in zip(quantities, targets)])
-        if signs is None:
+        gap, whole = end, mono  # y, then phi_2s(x) - R x after each reflection
+        if pair is None:
             gap = end - x
             phase = float(phase_dir @ (x - phase_anchor))
             residual = np.concatenate((gap, levels, [phase]))
             last = float(np.max(np.abs(residual)))
         else:
             residual = np.concatenate((end[minus], levels))
-            gap = np.linalg.solve(mono, (signs - 1.0) * end)
+            for r in reflections:  # R1 - I annihilates R2 x, on Fix(R1) with x
+                gap = r * np.linalg.solve(whole, (r - 1.0) * gap)
+                whole = r[:, None] * np.linalg.solve(whole, r[:, None] * whole)
             last = float(np.max(np.abs(np.concatenate((residual, gap)))))
         if last < settings.tol_orbit:
-            if signs is not None:
-                mono = signs[:, None] * np.linalg.solve(mono, signs[:, None] * mono)
             return PeriodicOrbit(
                 point=x.copy(),
                 period=float(T),
@@ -412,7 +445,7 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
                     q.name: float(abs(r)) for q, r in zip(bundle.constraints, levels)
                 },
                 level_residual=float(abs(levels[-1])),
-                floquet_multipliers=_floquet_multipliers(mono),
+                floquet_multipliers=_floquet_multipliers(whole),
                 iterations=iteration,
                 epsilon=problem.epsilon,
                 omega_ref=problem.omega,
@@ -420,7 +453,7 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
         if iteration == settings.max_iter:
             break
 
-        if signs is None:
+        if pair is None:
             jac = np.zeros((n + m + 1, n + 1))
             jac[:n, :n] = mono - np.eye(n)
             jac[:n, n] = f(end)
@@ -435,13 +468,13 @@ def _shoot(problem: OrbitProblem, x, T, t0, signs=None) -> PeriodicOrbit:
                 jac[i - m, :-1] = q.gradient(x)[plus]
 
         step = np.linalg.lstsq(jac, -residual, rcond=settings.svd_cutoff)[0]
-        if signs is None:
+        if pair is None:
             x = x + step[:-1]
         else:
             x = x.copy()
             x[plus] += step[:-1]
         span = span + step[-1]
-        T = span if signs is None else 2.0 * span
+        T = span * 2 ** len(reflections)
         if not np.all(np.isfinite(x)):
             raise OrbitSolveError("iterate became non-finite", last_residual=last)
 
@@ -467,11 +500,11 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
     """Solve a list of offsets in ascending order, warm-starting each one.
 
     ``epsilons`` must be positive and ascending. When the bundle has a
-    reversor R at x0 (the first of :func:`reversors`, found once per call
-    and handed to every row), every row is shot over half a period from
-    Fix(R) back to Fix(R): the first offset from the line where the
-    oscillation plane meets Fix(R), scaled as :func:`initial_guess` scales,
-    with tau0 = pi / omega, and rescued as a cold :func:`solve_orbit` is.
+    reversor at x0, every row is shot in the layouts of :func:`_layouts`,
+    chosen once per call: a quarter period, then half a period when that
+    fails. The first offset starts from the line where the oscillation
+    plane meets Fix(R1), scaled as :func:`initial_guess` scales, with
+    T0 = 2 pi / omega, and is rescued as a cold :func:`solve_orbit` is.
     Without a reversor the first offset is a cold :func:`solve_orbit`. Each
     later offset starts once from :func:`_predict`: the point and period
     interpolated through up to the last four converged rows, which with
@@ -489,20 +522,19 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
 
     x0 = problem.equilibrium
     t0 = 2.0 * math.pi / problem.omega
-    found = reversors(problem.bundle, x0)
-    signs = found[0] if found else None
+    layouts = _layouts(problem)
     rows: list[tuple[float, PeriodicOrbit]] = []
     failures: dict[float, str] = {}
     for eps in eps_list:
         sub = replace(problem, epsilon=eps)
         try:
             if rows:
-                orbit = _warm_shoot(sub, *_predict(rows, eps, x0, t0), signs)
-            elif signs is None:
+                orbit = _warm_shoot(sub, *_predict(rows, eps, x0, t0), layouts)
+            elif not layouts:
                 orbit = solve_orbit(sub)
             else:
-                seed = _symmetric_guess(sub, signs)
-                orbit = _rescued(sub, lambda: _shoot(sub, seed, t0, t0, signs))
+                seed = _symmetric_guess(sub, layouts[0][0])
+                orbit = _rescued(sub, lambda: _warm_shoot(sub, seed, t0, layouts))
         except (OrbitSolveError, EigenplaneDegenerate) as exc:
             failures[eps] = str(exc)
             continue

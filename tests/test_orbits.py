@@ -309,18 +309,24 @@ def test_cold_solve_at_the_top_rung_climbs_the_ladder(clebsch_fast_ladder):
     assert orbit.period == pytest.approx(family.rows[-1][1].period, rel=1e-9)
 
 
-@pytest.fixture
-def fwm_calls(monkeypatch):
-    """Counts the flow_with_monodromy calls made by the shooting from here on."""
-    calls = [0]
+def _record_spans(patch) -> list[float]:
+    """Replaces the shooting's flow_with_monodromy, through ``patch``, by one
+    that appends the |T| of every call to the list returned."""
+    spans = []
     real = pb.orbits.flow_with_monodromy
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
+    def counted(f, x, T, *args, **kwargs):
+        spans.append(abs(T))
+        return real(f, x, T, *args, **kwargs)
 
-    monkeypatch.setattr(pb.orbits, "flow_with_monodromy", counted)
-    return calls
+    patch.setattr(pb.orbits, "flow_with_monodromy", counted)
+    return spans
+
+
+@pytest.fixture
+def fwm_calls(monkeypatch):
+    """The |T| of each flow_with_monodromy call made by the shooting from here on."""
+    return _record_spans(monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -393,7 +399,7 @@ def test_irregular_ladders_converge_in_no_more_integrations(
     problem = pb.orbit_problem(bundle, bundle.equilibrium("e1", 1.0), omega, rungs[-1])
     family = pb.continue_family(problem, rungs)
     assert family.failures == {}
-    assert fwm_calls[0] <= SCALED_START_CALLS[name][ladder]
+    assert len(fwm_calls) <= SCALED_START_CALLS[name][ladder]
     if name == "rigid":
         for eps, T in zip(family.epsilons(), family.periods()):
             assert T == pytest.approx(rigid_reference_period(eps), rel=1e-10)
@@ -462,7 +468,7 @@ def test_an_infeasible_offset_fails_in_a_bounded_number_of_integrations(
     with pytest.raises(pb.OrbitSolveError) as info:
         pb.solve_orbit(problem)
     assert str(info.value).startswith("period collapsed")
-    assert fwm_calls[0] <= 30
+    assert len(fwm_calls) <= 30
 
 
 def test_iteration_limit_fails_as_no_convergence(rigid_bundle, rigid_e1):
@@ -576,3 +582,83 @@ def test_nontrivial_floquet_multipliers_match_a_fresh_monodromy(clebsch_families
             fresh = np.linalg.eigvals(pb.monodromy(clebsch_bundle.field, orbit.point, orbit.period))
             got = nontrivial(orbit.floquet_multipliers)
             np.testing.assert_allclose(got, nontrivial(fresh), rtol=0, atol=1e-8)
+
+
+# -- quarter-period shooting ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def m1_ladders(rigid_bundle, clebsch_bundle):
+    """The benchmark's three ladders at M = 1 as (bundle, problem, family) by
+    family name, and the |T| of every flow_with_monodromy call they made."""
+    with pytest.MonkeyPatch.context() as patch:
+        spans = _record_spans(patch)
+        families = {}
+        for name, (bundle, omega, end) in _families(rigid_bundle, clebsch_bundle).items():
+            rungs = _ladder(end)
+            problem = pb.orbit_problem(bundle, bundle.equilibrium("e1", 1.0), omega, rungs[-1])
+            families[name] = (bundle, problem, pb.continue_family(problem, rungs))
+    return families, spans
+
+
+# on the same ladders with every row shot over half a period from Fix(R1)
+# back to Fix(R1): 130 flow_with_monodromy calls over a summed |T| of 444.127
+HALF_PERIOD_CALLS = 130
+HALF_PERIOD_SPAN = 444.12713450606077
+
+
+def test_quarter_period_rows_integrate_about_half_the_time(m1_ladders):
+    families, spans = m1_ladders
+    assert all(family.failures == {} for _, _, family in families.values())
+    assert len(spans) <= HALF_PERIOD_CALLS
+    assert sum(spans) <= 0.55 * HALF_PERIOD_SPAN
+
+
+def test_quarter_period_rows_run_from_fix_r1_to_fix_r2(m1_ladders):
+    # the closure matches a fresh whole-period gap to 9.2e-14 on these rows;
+    # reflected from the half period only, it is 7.5e-11 off
+    tol = pb.SolverSettings().tol_orbit
+    for bundle, problem, family in m1_ladders[0].values():
+        r1, r2 = pb.reversors(bundle, problem.equilibrium)
+        layouts = [[r.tolist() for r in pair] for pair in pb.orbits._layouts(problem)]
+        assert layouts == [[r1.tolist(), r2.tolist()], [r1.tolist(), r1.tolist()]]
+        for _, orbit in family.rows:
+            assert np.all(orbit.point[r1 < 0] == 0.0)
+            end, _ = pb.flow_with_monodromy(bundle.field, orbit.point, orbit.period / 4)
+            assert np.max(np.abs(end[r2 < 0])) <= tol
+            end, _ = pb.flow_with_monodromy(bundle.field, orbit.point, orbit.period)
+            gap = float(np.linalg.norm(end - orbit.point))
+            assert abs(orbit.closure_residual - gap) <= tol / 100
+
+
+def _half_period_only(patch, r1):
+    """A bundle with the single reversor R1: R2 = R1."""
+    patch.setattr(pb.orbits, "reversors", lambda bundle, x0: [r1])
+
+
+def _quarter_period_fails(patch, r1):
+    """Every quarter-period solve fails before it integrates."""
+    real = pb.orbits._shoot
+
+    def shoot(problem, x, T, t0, pair=None):
+        if pair is not None and not np.array_equal(*pair):
+            raise pb.OrbitSolveError("quarter period refused")
+        return real(problem, x, T, t0, pair)
+
+    patch.setattr(pb.orbits, "_shoot", shoot)
+
+
+@pytest.mark.parametrize("patch_layout", [_half_period_only, _quarter_period_fails])
+def test_rows_fall_back_to_the_half_period_layout(
+    rigid_bundle, rigid_e1, monkeypatch, fwm_calls, patch_layout
+):
+    # the half-period layout's periods and integrations on the rigid ladder,
+    # to the bit: R2 = R1 reflects once, as the half layout always did
+    patch_layout(monkeypatch, pb.reversors(rigid_bundle, rigid_e1)[0])
+    rungs = _ladder(1.0 / ROOT2)
+    problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, rungs[-1])
+    family = pb.continue_family(problem, rungs)
+    assert family.failures == {}
+    assert family.periods()[0] == 6.295001375632556
+    assert family.periods()[-1] == 12.47973695269946
+    assert len(fwm_calls) == 40
