@@ -16,7 +16,7 @@ R f(R x) = -f(x) that fixes x0 and every conserved quantity
 apart (Devaney, Trans. AMS 218 (1976)), and Fix(R1) and Fix(R2) of two
 reversors a quarter period apart (Lamb and Roberts, Physica D 112 (1998)).
 The same Gauss-Newton loop then shoots a family from Fix(R1) to Fix(R2)
-over tau = T / 4, or back to Fix(R1) over T / 2 (:func:`_layouts`), with
+over tau = T / 4, or back to Fix(R1) over T / 2 (:func:`_reflections`), with
 the +1 coordinates of x and tau as unknowns and no phase condition. The
 whole-period closure and the monodromy follow by reflection (see
 :func:`_shoot`).
@@ -272,21 +272,22 @@ def _symmetric_guess(problem: OrbitProblem, signs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _layouts(problem: OrbitProblem) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The reversible layouts (R1, R2) of :func:`_shoot`, in the order tried.
+def _reflections(problem: OrbitProblem) -> tuple[np.ndarray, ...]:
+    """The reflections of :func:`_shoot`'s reversible layout: (R2, R1) for a
+    quarter period, (R1,) for half a period, () when there is no reversor.
 
     R1 is the first of :func:`reversors`. The linearized orbit from d on the
     line of :func:`_fix_line` is at J d / omega (J the Jacobian at x0) a
     quarter period later. R2 is the first other reversor whose fixed set
-    holds that point, to 1e-8 relative; the half layout (R1, R1) comes last.
+    holds that point, to 1e-8 relative; without one the layout is the half.
     """
     found = reversors(problem.bundle, problem.equilibrium)
     if not found:
-        return []
+        return ()
     d = _orthonormal_plane(*problem.eigenplane) @ _fix_line(problem, found[0])
     quarter = np.abs(jacobian_exact(problem.bundle.field, problem.equilibrium) @ d)
-    pairs = [(found[0], r) for r in found[1:] if np.all(quarter[r < 0] <= 1e-8 * quarter.max())]
-    return pairs[:1] + [(found[0], found[0])]
+    pairs = [(r, found[0]) for r in found[1:] if np.all(quarter[r < 0] <= 1e-8 * quarter.max())]
+    return (pairs or [(found[0],)])[0]
 
 
 def solve_orbit(
@@ -299,14 +300,13 @@ def solve_orbit(
 
     ``x_init`` and ``T_init`` override the linearization seed (used by
     continuation warm starts). A warm start on Fix(R1) is shot in the
-    layouts of :func:`_layouts`: over a quarter period to Fix(R2), and over
-    half a period back to Fix(R1) when there is no R2 or that fails. Any
-    other start is shot over the whole period (see :func:`_shoot`). A cold
-    solve (no ``x_init``) starts from :func:`initial_guess` at
-    ``seed_angle`` and stays on the whole period, because the symmetric
-    seed of :func:`continue_family` is worse as a lone start: on the rigid
-    body at M = 1, whose family ends at
-    eps = 1/sqrt(2), cold half-period solves converge at eps = 0.72
+    layout of :func:`_reflections`: over a quarter period to Fix(R2), or
+    over half a period back to Fix(R1) when there is no R2. Any other start
+    is shot over the whole period (see :func:`_shoot`). A cold solve (no
+    ``x_init``) starts from :func:`initial_guess` at ``seed_angle`` and
+    stays on the whole period, because the symmetric seed of
+    :func:`continue_family` is worse as a lone start: on the rigid body at
+    M = 1, whose family ends at eps = 1/sqrt(2), cold half-period solves converge at eps = 0.72
     (T = 45.67) and eps = 0.8 (T = 9.55494890) to orbits that are not the
     family's, where the whole-period solve fails as "period collapsed".
 
@@ -327,22 +327,15 @@ def solve_orbit(
     if x_init is None:
         x, _ = initial_guess(problem, seed_angle)
         return _rescued(problem, lambda: _shoot(problem, x, T, t0))
-    return _warm_shoot(problem, np.array(x_init, dtype=float), T, _layouts(problem))
+    return _warm_shoot(problem, np.array(x_init, dtype=float), T, _reflections(problem))
 
 
-def _warm_shoot(problem: OrbitProblem, x, T: float, layouts) -> PeriodicOrbit:
-    """:func:`_shoot` from a warm start: in each of ``layouts`` in turn, the
-    last one's failure raised, when x lies on their Fix(R1), else over the
-    whole period."""
+def _warm_shoot(problem: OrbitProblem, x, T: float, refl) -> PeriodicOrbit:
+    """:func:`_shoot` from a warm start, in the reversible layout ``refl``
+    when x lies on Fix(R1), R1 = ``refl[-1]``, else over the whole period."""
     t0 = 2.0 * math.pi / problem.omega
-    if not layouts or not np.array_equal(layouts[0][0] * x, x):
-        layouts = [None]
-    for pair in layouts[:-1]:
-        try:
-            return _shoot(problem, x, T, t0, pair)
-        except OrbitSolveError:
-            pass
-    return _shoot(problem, x, T, t0, layouts[-1])
+    on_fix = bool(refl) and np.array_equal(refl[-1] * x, x)
+    return _shoot(problem, x, T, t0, refl if on_fix else ())
 
 
 def _rescued(problem: OrbitProblem, solve) -> PeriodicOrbit:
@@ -365,7 +358,7 @@ def _rescued(problem: OrbitProblem, solve) -> PeriodicOrbit:
         return replace(family.rows[-1][1], used_fallback=True)
 
 
-def _shoot(problem: OrbitProblem, x, T, t0, pair=None) -> PeriodicOrbit:
+def _shoot(problem: OrbitProblem, x, T, t0, refl=()) -> PeriodicOrbit:
     """Gauss-Newton shooting from the point x and the period T.
 
     One loop serves two residual layouts. Each iteration integrates once and
@@ -373,22 +366,22 @@ def _shoot(problem: OrbitProblem, x, T, t0, pair=None) -> PeriodicOrbit:
     entries, and the returned orbit reports its residuals from that one
     evaluation.
 
-    - Whole period (``pair`` None): the unknowns are x and T, the residual
+    - Whole period (``refl`` empty): the unknowns are x and T, the residual
       stacks the closure gap phi_T(x) - x, the level offsets of
       ``constraints + (integral,)`` and the phase, and the monodromy is the
       integrated Phi(T).
-    - Reversible (``pair`` = (R1, R2), the diagonals of two reversors, with
+    - Reversible (``refl`` = (R2, R1), the diagonals of two reversors, with
       R1 x = x): the unknowns are the +1 coordinates of R1 in x and
       tau = T / 4, and the residual stacks the -1 coordinates of R2 in
       y = phi_tau(x) (y on Fix(R2)) and the level offsets; the fixed sets
-      meet the orbit at isolated points, so no phase row. R2 = R1 is the
-      half period, tau = T / 2. Since phi_t(R z) = R phi_-t(z), each
-      reflection R doubles the time integrated: with Phi the matrix over s,
-      phi_2s(x) = R x + R Phi^-1 (R p - p) to first order in the distance of
-      p = phi_s(x) from Fix(R), and Phi(2s) = R Phi^-1 R Phi. Reflecting in
-      R2, then in R1 (only R1 when R2 = R1), gives the monodromy and
-      phi_T(x) - x: the closure reported, and checked entry by entry with
-      the residual.
+      meet the orbit at isolated points, so no phase row. ``refl`` = (R1,)
+      is the half period, tau = T / 2, with R2 = R1. Since
+      phi_t(R z) = R phi_-t(z), each reflection R doubles the time
+      integrated: with Phi the matrix over s, phi_2s(x) = R x +
+      R Phi^-1 (R p - p) to first order in the distance of p = phi_s(x)
+      from Fix(R), and Phi(2s) = R Phi^-1 R Phi. Reflecting in each of
+      ``refl`` in turn gives the monodromy and phi_T(x) - x: the closure
+      reported, and checked entry by entry with the residual.
 
     The solve ends when every entry is below ``tol_orbit``, after
     ``max_iter`` steps, or when the period leaves [0.1, 10] x t0, which is
@@ -403,14 +396,12 @@ def _shoot(problem: OrbitProblem, x, T, t0, pair=None) -> PeriodicOrbit:
     targets = [q.value(problem.equilibrium) for q in quantities]
     targets[-1] += problem.epsilon**2
     m = len(quantities)
-    if pair is None:
+    if not refl:
         phase_anchor = x.copy()
         phase_dir = f(phase_anchor)
-        reflections = ()
     else:
-        plus, minus = pair[0] > 0, pair[1] < 0
-        reflections = pair[1:] if np.array_equal(*pair) else pair[::-1]
-    span = T / 2 ** len(reflections)  # the time integrated
+        plus, minus = refl[-1] > 0, refl[0] < 0
+    span = T / 2 ** len(refl)  # the time integrated
     last = None
 
     for iteration in range(settings.max_iter + 1):
@@ -425,14 +416,14 @@ def _shoot(problem: OrbitProblem, x, T, t0, pair=None) -> PeriodicOrbit:
             raise OrbitSolveError(f"integration failed during shooting: {exc}") from exc
         levels = np.array([q.value(x) - c for q, c in zip(quantities, targets)])
         gap, whole = end, mono  # y, then phi_2s(x) - R x after each reflection
-        if pair is None:
+        if not refl:
             gap = end - x
             phase = float(phase_dir @ (x - phase_anchor))
             residual = np.concatenate((gap, levels, [phase]))
             last = float(np.max(np.abs(residual)))
         else:
             residual = np.concatenate((end[minus], levels))
-            for r in reflections:  # R1 - I annihilates R2 x, on Fix(R1) with x
+            for r in refl:  # R1 - I annihilates R2 x, on Fix(R1) with x
                 gap = r * np.linalg.solve(whole, (r - 1.0) * gap)
                 whole = r[:, None] * np.linalg.solve(whole, r[:, None] * whole)
             last = float(np.max(np.abs(np.concatenate((residual, gap)))))
@@ -453,7 +444,7 @@ def _shoot(problem: OrbitProblem, x, T, t0, pair=None) -> PeriodicOrbit:
         if iteration == settings.max_iter:
             break
 
-        if pair is None:
+        if not refl:
             jac = np.zeros((n + m + 1, n + 1))
             jac[:n, :n] = mono - np.eye(n)
             jac[:n, n] = f(end)
@@ -468,13 +459,13 @@ def _shoot(problem: OrbitProblem, x, T, t0, pair=None) -> PeriodicOrbit:
                 jac[i - m, :-1] = q.gradient(x)[plus]
 
         step = np.linalg.lstsq(jac, -residual, rcond=settings.svd_cutoff)[0]
-        if pair is None:
+        if not refl:
             x = x + step[:-1]
         else:
             x = x.copy()
             x[plus] += step[:-1]
         span = span + step[-1]
-        T = span * 2 ** len(reflections)
+        T = span * 2 ** len(refl)
         if not np.all(np.isfinite(x)):
             raise OrbitSolveError("iterate became non-finite", last_residual=last)
 
@@ -500,9 +491,9 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
     """Solve a list of offsets in ascending order, warm-starting each one.
 
     ``epsilons`` must be positive and ascending. When the bundle has a
-    reversor at x0, every row is shot in the layouts of :func:`_layouts`,
-    chosen once per call: a quarter period, then half a period when that
-    fails. The first offset starts from the line where the oscillation
+    reversor at x0, every row is shot in the layout of :func:`_reflections`,
+    chosen once per call: a quarter period, or half a period when the
+    family has no R2. The first offset starts from the line where the oscillation
     plane meets Fix(R1), scaled as :func:`initial_guess` scales, with
     T0 = 2 pi / omega, and is rescued as a cold :func:`solve_orbit` is.
     Without a reversor the first offset is a cold :func:`solve_orbit`. Each
@@ -522,19 +513,19 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
 
     x0 = problem.equilibrium
     t0 = 2.0 * math.pi / problem.omega
-    layouts = _layouts(problem)
+    refl = _reflections(problem)
     rows: list[tuple[float, PeriodicOrbit]] = []
     failures: dict[float, str] = {}
     for eps in eps_list:
         sub = replace(problem, epsilon=eps)
         try:
             if rows:
-                orbit = _warm_shoot(sub, *_predict(rows, eps, x0, t0), layouts)
-            elif not layouts:
+                orbit = _warm_shoot(sub, *_predict(rows, eps, x0, t0), refl)
+            elif not refl:
                 orbit = solve_orbit(sub)
             else:
-                seed = _symmetric_guess(sub, layouts[0][0])
-                orbit = _rescued(sub, lambda: _warm_shoot(sub, seed, t0, layouts))
+                seed = _symmetric_guess(sub, refl[-1])
+                orbit = _rescued(sub, lambda: _shoot(sub, seed, t0, t0, refl))
         except (OrbitSolveError, EigenplaneDegenerate) as exc:
             failures[eps] = str(exc)
             continue

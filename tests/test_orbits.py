@@ -361,13 +361,24 @@ def _families(rigid_bundle, clebsch_bundle):
     }
 
 
-def test_predicted_rows_take_fewer_than_two_iterations_on_average(rigid_bundle, clebsch_bundle):
+@pytest.fixture(scope="module")
+def m1_ladders(rigid_bundle, clebsch_bundle):
+    """The benchmark's three ladders at M = 1 as (bundle, problem, family) by
+    family name, and the |T| of every flow_with_monodromy call they made."""
+    with pytest.MonkeyPatch.context() as patch:
+        spans = _record_spans(patch)
+        families = {}
+        for name, (bundle, omega, end) in _families(rigid_bundle, clebsch_bundle).items():
+            rungs = _ladder(end)
+            problem = pb.orbit_problem(bundle, bundle.equilibrium("e1", 1.0), omega, rungs[-1])
+            families[name] = (bundle, problem, pb.continue_family(problem, rungs))
+    return families, spans
+
+
+def test_predicted_rows_take_fewer_than_two_iterations_on_average(m1_ladders):
     # the previous orbit scaled by the eps ratio took 2.77 on these ladders
     iterations = []
-    for bundle, omega, end in _families(rigid_bundle, clebsch_bundle).values():
-        rungs = _ladder(end)
-        problem = pb.orbit_problem(bundle, bundle.equilibrium("e1", 1.0), omega, rungs[-1])
-        family = pb.continue_family(problem, rungs)
+    for _, _, family in m1_ladders[0].values():
         assert family.failures == {}
         iterations += [orbit.iterations for _, orbit in family.rows]
     assert sum(iterations) / len(iterations) < 2.0
@@ -587,20 +598,6 @@ def test_nontrivial_floquet_multipliers_match_a_fresh_monodromy(clebsch_families
 # -- quarter-period shooting ------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def m1_ladders(rigid_bundle, clebsch_bundle):
-    """The benchmark's three ladders at M = 1 as (bundle, problem, family) by
-    family name, and the |T| of every flow_with_monodromy call they made."""
-    with pytest.MonkeyPatch.context() as patch:
-        spans = _record_spans(patch)
-        families = {}
-        for name, (bundle, omega, end) in _families(rigid_bundle, clebsch_bundle).items():
-            rungs = _ladder(end)
-            problem = pb.orbit_problem(bundle, bundle.equilibrium("e1", 1.0), omega, rungs[-1])
-            families[name] = (bundle, problem, pb.continue_family(problem, rungs))
-    return families, spans
-
-
 # on the same ladders with every row shot over half a period from Fix(R1)
 # back to Fix(R1): 130 flow_with_monodromy calls over a summed |T| of 444.127
 HALF_PERIOD_CALLS = 130
@@ -620,8 +617,8 @@ def test_quarter_period_rows_run_from_fix_r1_to_fix_r2(m1_ladders):
     tol = pb.SolverSettings().tol_orbit
     for bundle, problem, family in m1_ladders[0].values():
         r1, r2 = pb.reversors(bundle, problem.equilibrium)
-        layouts = [[r.tolist() for r in pair] for pair in pb.orbits._layouts(problem)]
-        assert layouts == [[r1.tolist(), r2.tolist()], [r1.tolist(), r1.tolist()]]
+        refl = [r.tolist() for r in pb.orbits._reflections(problem)]
+        assert refl == [r2.tolist(), r1.tolist()]
         for _, orbit in family.rows:
             assert np.all(orbit.point[r1 < 0] == 0.0)
             end, _ = pb.flow_with_monodromy(bundle.field, orbit.point, orbit.period / 4)
@@ -631,30 +628,13 @@ def test_quarter_period_rows_run_from_fix_r1_to_fix_r2(m1_ladders):
             assert abs(orbit.closure_residual - gap) <= tol / 100
 
 
-def _half_period_only(patch, r1):
-    """A bundle with the single reversor R1: R2 = R1."""
-    patch.setattr(pb.orbits, "reversors", lambda bundle, x0: [r1])
-
-
-def _quarter_period_fails(patch, r1):
-    """Every quarter-period solve fails before it integrates."""
-    real = pb.orbits._shoot
-
-    def shoot(problem, x, T, t0, pair=None):
-        if pair is not None and not np.array_equal(*pair):
-            raise pb.OrbitSolveError("quarter period refused")
-        return real(problem, x, T, t0, pair)
-
-    patch.setattr(pb.orbits, "_shoot", shoot)
-
-
-@pytest.mark.parametrize("patch_layout", [_half_period_only, _quarter_period_fails])
-def test_rows_fall_back_to_the_half_period_layout(
-    rigid_bundle, rigid_e1, monkeypatch, fwm_calls, patch_layout
+def test_a_family_with_one_reversor_keeps_the_half_period_layout(
+    rigid_bundle, rigid_e1, monkeypatch, fwm_calls
 ):
     # the half-period layout's periods and integrations on the rigid ladder,
     # to the bit: R2 = R1 reflects once, as the half layout always did
-    patch_layout(monkeypatch, pb.reversors(rigid_bundle, rigid_e1)[0])
+    r1 = pb.reversors(rigid_bundle, rigid_e1)[0]
+    monkeypatch.setattr(pb.orbits, "reversors", lambda bundle, x0: [r1])
     rungs = _ladder(1.0 / ROOT2)
     problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, rungs[-1])
     family = pb.continue_family(problem, rungs)
