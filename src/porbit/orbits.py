@@ -16,9 +16,9 @@ R f(R x) = -f(x) that fixes x0 and every conserved quantity
 apart (Devaney, Trans. AMS 218 (1976)), and Fix(R1) and Fix(R2) of two
 reversors a quarter period apart (Lamb and Roberts, Physica D 112 (1998)).
 The same Gauss-Newton loop then shoots a family from Fix(R1) to Fix(R2)
-over tau = T / 4, or back to Fix(R1) over T / 2 (:func:`_reflections`), with
-the +1 coordinates of x and tau as unknowns and no phase condition. The
-whole-period closure and the monodromy follow by reflection (see
+over tau = T / 4, or back to Fix(R1) over T / 2 (:func:`_reflections`),
+with the +1 coordinates of x and tau as unknowns and no phase condition.
+The whole-period closure and the monodromy follow by reflection (see
 :func:`_shoot`).
 
 Seeding comes from the linearization: the guess sits in the oscillation
@@ -306,9 +306,10 @@ def solve_orbit(
     ``x_init``) starts from :func:`initial_guess` at ``seed_angle`` and
     stays on the whole period, because the symmetric seed of
     :func:`continue_family` is worse as a lone start: on the rigid body at
-    M = 1, whose family ends at eps = 1/sqrt(2), cold half-period solves converge at eps = 0.72
-    (T = 45.67) and eps = 0.8 (T = 9.55494890) to orbits that are not the
-    family's, where the whole-period solve fails as "period collapsed".
+    M = 1, whose family ends at eps = 1/sqrt(2), cold half-period solves
+    converge at eps = 0.72 (T = 45.67) and eps = 0.8 (T = 9.55494890) to
+    orbits that are not the family's, where the whole-period solve fails
+    as "period collapsed".
 
     Raises :class:`OrbitSolveError` on non-convergence, a collapsed or
     runaway period or a failed integration. When a cold solve fails this way
@@ -493,9 +494,10 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
     ``epsilons`` must be positive and ascending. When the bundle has a
     reversor at x0, every row is shot in the layout of :func:`_reflections`,
     chosen once per call: a quarter period, or half a period when the
-    family has no R2. The first offset starts from the line where the oscillation
-    plane meets Fix(R1), scaled as :func:`initial_guess` scales, with
-    T0 = 2 pi / omega, and is rescued as a cold :func:`solve_orbit` is.
+    family has no R2. The first offset starts from the line where the
+    oscillation plane meets Fix(R1), scaled as :func:`initial_guess`
+    scales, with T0 = 2 pi / omega, and is rescued as a cold
+    :func:`solve_orbit` is.
     Without a reversor the first offset is a cold :func:`solve_orbit`. Each
     later offset starts once from :func:`_predict`: the point and period
     interpolated through up to the last four converged rows, which with
