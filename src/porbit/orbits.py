@@ -15,11 +15,12 @@ R f(R x) = -f(x) that fixes x0 and every conserved quantity
 (:func:`reversors`), a symmetric orbit meets Fix(R) twice, half a period
 apart (Devaney, Trans. AMS 218 (1976)), and Fix(R1) and Fix(R2) of two
 reversors a quarter period apart (Lamb and Roberts, Physica D 112 (1998)).
-The same Gauss-Newton loop then shoots a family from Fix(R1) to Fix(R2)
-over tau = T / 4, or back to Fix(R1) over T / 2 (:func:`_reflections`),
-with the +1 coordinates of x and tau as unknowns and no phase condition.
-The whole-period closure and the monodromy follow by reflection (see
-:func:`_shoot`).
+A family is then shot from Fix(R1) to Fix(R2) over tau = T / 4, or back to
+Fix(R1) over T / 2, with the +1 coordinates of x and tau as unknowns and no
+phase condition; the whole-period closure and the monodromy follow by
+reflection. All three layouts are the same Gauss-Newton loop, given the
+reflections it applies, none for the whole period (see :func:`_shoot` and
+:func:`_reflections`).
 
 Seeding comes from the linearization: the guess sits in the oscillation
 plane of the chosen +/- i omega pair, scaled so the integral offset is
@@ -298,18 +299,17 @@ def solve_orbit(
 ) -> PeriodicOrbit:
     """Gauss-Newton shooting for one periodic orbit.
 
-    ``x_init`` and ``T_init`` override the linearization seed (used by
-    continuation warm starts). A warm start on Fix(R1) is shot in the
-    layout of :func:`_reflections`: over a quarter period to Fix(R2), or
-    over half a period back to Fix(R1) when there is no R2. Any other start
-    is shot over the whole period (see :func:`_shoot`). A cold solve (no
-    ``x_init``) starts from :func:`initial_guess` at ``seed_angle`` and
-    stays on the whole period, because the symmetric seed of
-    :func:`continue_family` is worse as a lone start: on the rigid body at
-    M = 1, whose family ends at eps = 1/sqrt(2), cold half-period solves
-    converge at eps = 0.72 (T = 45.67) and eps = 0.8 (T = 9.55494890) to
-    orbits that are not the family's, where the whole-period solve fails
-    as "period collapsed".
+    ``x_init`` and ``T_init`` override the linearization seed; ``x_init``
+    must be a finite point of the bundle's dimension. A start on Fix(R1) is
+    shot in the layout of :func:`_reflections`, any other over the whole
+    period, the layout with no reflections (see :func:`_shoot`). A cold
+    solve (no ``x_init``) starts from :func:`initial_guess` at
+    ``seed_angle`` and stays on the whole period, because the symmetric
+    seed of :func:`continue_family` is worse as a lone start: on the rigid
+    body at M = 1, whose family ends at eps = 1/sqrt(2), cold half-period
+    solves converge at eps = 0.72 (T = 45.67) and eps = 0.8
+    (T = 9.55494890) to orbits that are not the family's, where the
+    whole-period solve fails as "period collapsed".
 
     Raises :class:`OrbitSolveError` on non-convergence, a collapsed or
     runaway period or a failed integration. When a cold solve fails this way
@@ -323,27 +323,23 @@ def solve_orbit(
         raise ValueError(
             f"epsilon must be positive and finite, got {problem.epsilon}; "
             "the equilibrium itself is the eps = 0 limit")
-    t0 = 2.0 * math.pi / problem.omega
-    T = float(t0 if T_init is None else T_init)
+    T = float(2.0 * math.pi / problem.omega if T_init is None else T_init)
     if x_init is None:
-        x, _ = initial_guess(problem, seed_angle)
-        return _rescued(problem, lambda: _shoot(problem, x, T, t0))
-    return _warm_shoot(problem, np.array(x_init, dtype=float), T, _reflections(problem))
-
-
-def _warm_shoot(problem: OrbitProblem, x, T: float, refl) -> PeriodicOrbit:
-    """:func:`_shoot` from a warm start, in the reversible layout ``refl``
-    when x lies on Fix(R1), R1 = ``refl[-1]``, else over the whole period."""
-    t0 = 2.0 * math.pi / problem.omega
+        return _rescued(problem, initial_guess(problem, seed_angle)[0], T, ())
+    x = np.array(x_init, dtype=float)
+    n = problem.bundle.dimension
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x_init must be a finite point of shape ({n},), got {x_init!r}")
+    refl = _reflections(problem)
     on_fix = bool(refl) and np.array_equal(refl[-1] * x, x)
-    return _shoot(problem, x, T, t0, refl if on_fix else ())
+    return _shoot(problem, x, T, refl if on_fix else ())
 
 
-def _rescued(problem: OrbitProblem, solve) -> PeriodicOrbit:
-    """``solve()`` from a linearization seed, with the ladder rescue of
+def _rescued(problem: OrbitProblem, x, T: float, refl) -> PeriodicOrbit:
+    """:func:`_shoot` from a linearization seed, with the ladder rescue of
     :func:`solve_orbit` when it fails other than in the integration."""
     try:
-        return solve()
+        return _shoot(problem, x, T, refl)
     except OrbitSolveError as exc:
         if isinstance(exc.__cause__, IntegrationError) or not problem.settings.two_segment_fallback:
             raise
@@ -359,49 +355,57 @@ def _rescued(problem: OrbitProblem, solve) -> PeriodicOrbit:
         return replace(family.rows[-1][1], used_fallback=True)
 
 
-def _shoot(problem: OrbitProblem, x, T, t0, refl=()) -> PeriodicOrbit:
+def _shoot(problem: OrbitProblem, x, T: float, refl) -> PeriodicOrbit:
     """Gauss-Newton shooting from the point x and the period T.
 
-    One loop serves two residual layouts. Each iteration integrates once and
-    evaluates one residual whose Jacobian rows are the derivatives of its
-    entries, and the returned orbit reports its residuals from that one
-    evaluation.
+    One loop serves every layout. ``refl`` holds the reversor diagonals the
+    layout reflects in (:func:`_reflections`): () for the whole period,
+    (R1,) for half a period from Fix(R1) back to Fix(R1), (R2, R1) for a
+    quarter period from Fix(R1) to Fix(R2); a reversible start has R1 x = x.
+    Four pieces of data, fixed before the loop, make the layout:
 
-    - Whole period (``refl`` empty): the unknowns are x and T, the residual
-      stacks the closure gap phi_T(x) - x, the level offsets of
-      ``constraints + (integral,)`` and the phase, and the monodromy is the
-      integrated Phi(T).
-    - Reversible (``refl`` = (R2, R1), the diagonals of two reversors, with
-      R1 x = x): the unknowns are the +1 coordinates of R1 in x and
-      tau = T / 4, and the residual stacks the -1 coordinates of R2 in
-      y = phi_tau(x) (y on Fix(R2)) and the level offsets; the fixed sets
-      meet the orbit at isolated points, so no phase row. ``refl`` = (R1,)
-      is the half period, tau = T / 2, with R2 = R1. Since
-      phi_t(R z) = R phi_-t(z), each reflection R doubles the time
-      integrated: with Phi the matrix over s, phi_2s(x) = R x +
-      R Phi^-1 (R p - p) to first order in the distance of p = phi_s(x)
-      from Fix(R), and Phi(2s) = R Phi^-1 R Phi. Reflecting in each of
-      ``refl`` in turn gives the monodromy and phi_T(x) - x: the closure
-      reported, and checked entry by entry with the residual.
+    - the free coordinates of x: all of them, or the +1 coordinates of R1;
+    - the closure rows: all of them, or the -1 coordinates of R2;
+    - what y = phi_tau(x), tau = T / 2**len(refl), closes on: x itself, or
+      x0, which is 0 off every fixed set and so on every closure row;
+    - the phase rows: f(x_start) . (x - x_start) for the whole period, none
+      for the reversible layouts, whose fixed sets meet the orbit at
+      isolated points.
+
+    The unknowns are the free coordinates and tau. The residual stacks the
+    closure rows, the level offsets of ``constraints + (integral,)`` and the
+    phase rows; its Jacobian rows are the derivatives of its entries. Each
+    iteration integrates once and evaluates the residual once, and the
+    returned orbit reports its residuals from that evaluation. Since
+    phi_t(R z) = R phi_-t(z), each reflection R doubles the time
+    integrated: with Phi the matrix over s, phi_2s(x) = R x +
+    R Phi^-1 (R p - p) to first order in the distance of p = phi_s(x) from
+    Fix(R), and Phi(2s) = R Phi^-1 R Phi. Reflecting in each of ``refl`` in
+    turn gives the monodromy and phi_T(x) - x: the closure reported, and
+    checked entry by entry with the residual.
 
     The solve ends when every entry is below ``tol_orbit``, after
-    ``max_iter`` steps, or when the period leaves [0.1, 10] x t0, which is
-    checked before every integration, the first included: a start far out
-    of the window costs no integration over it.
+    ``max_iter`` steps, or when the period leaves [0.1, 10] x t0,
+    t0 = 2 pi / omega, which is checked before every integration, the first
+    included: a start far out of the window costs no integration over it.
     """
     bundle = problem.bundle
     settings = problem.settings
     f = bundle.field
     n = bundle.dimension
+    t0 = 2.0 * math.pi / problem.omega
     quantities = bundle.constraints + (bundle.integral,)
     targets = [q.value(problem.equilibrium) for q in quantities]
     targets[-1] += problem.epsilon**2
     m = len(quantities)
-    if not refl:
-        phase_anchor = x.copy()
-        phase_dir = f(phase_anchor)
+    if refl:  # the closure is y - closes_on @ x; phase_dirs are the phase rows
+        free, rows = refl[-1] > 0, refl[0] < 0
+        closes_on, phase_dirs = np.zeros((n, n)), np.empty((0, n))
     else:
-        plus, minus = refl[-1] > 0, refl[0] < 0
+        free = rows = np.full(n, True)
+        closes_on, phase_dirs = np.eye(n), f(x)[None]
+    n_close = rows.sum()
+    x_start = x
     span = T / 2 ** len(refl)  # the time integrated
     last = None
 
@@ -416,18 +420,14 @@ def _shoot(problem: OrbitProblem, x, T, t0, refl=()) -> PeriodicOrbit:
         except IntegrationError as exc:
             raise OrbitSolveError(f"integration failed during shooting: {exc}") from exc
         levels = np.array([q.value(x) - c for q, c in zip(quantities, targets)])
-        gap, whole = end, mono  # y, then phi_2s(x) - R x after each reflection
-        if not refl:
-            gap = end - x
-            phase = float(phase_dir @ (x - phase_anchor))
-            residual = np.concatenate((gap, levels, [phase]))
-            last = float(np.max(np.abs(residual)))
-        else:
-            residual = np.concatenate((end[minus], levels))
-            for r in refl:  # R1 - I annihilates R2 x, on Fix(R1) with x
-                gap = r * np.linalg.solve(whole, (r - 1.0) * gap)
-                whole = r[:, None] * np.linalg.solve(whole, r[:, None] * whole)
-            last = float(np.max(np.abs(np.concatenate((residual, gap)))))
+        phase = [float(d @ (x - x_start)) for d in phase_dirs]
+        gap = end - closes_on @ x
+        residual = np.concatenate((gap[rows], levels, phase))
+        whole = mono  # phi_2s(x) - R x and Phi(2s) after each reflection
+        for r in refl:  # R1 - I annihilates R2 x, on Fix(R1) with x
+            gap = r * np.linalg.solve(whole, (r - 1.0) * gap)
+            whole = r[:, None] * np.linalg.solve(whole, r[:, None] * whole)
+        last = float(np.max(np.abs(np.concatenate((residual, gap)))))
         if last < settings.tol_orbit:
             return PeriodicOrbit(
                 point=x.copy(),
@@ -445,26 +445,16 @@ def _shoot(problem: OrbitProblem, x, T, t0, refl=()) -> PeriodicOrbit:
         if iteration == settings.max_iter:
             break
 
-        if not refl:
-            jac = np.zeros((n + m + 1, n + 1))
-            jac[:n, :n] = mono - np.eye(n)
-            jac[:n, n] = f(end)
-            for i, q in enumerate(quantities):
-                jac[n + i, :n] = q.gradient(x)
-            jac[n + m, :n] = phase_dir
-        else:
-            jac = np.zeros((minus.sum() + m, plus.sum() + 1))
-            jac[:-m, :-1] = mono[np.ix_(minus, plus)]
-            jac[:-m, -1] = f(end)[minus]
-            for i, q in enumerate(quantities):
-                jac[i - m, :-1] = q.gradient(x)[plus]
+        jac = np.zeros((n_close + m + len(phase_dirs), free.sum() + 1))
+        jac[:n_close, :-1] = (mono - closes_on)[np.ix_(rows, free)]
+        jac[:n_close, -1] = f(end)[rows]
+        for i, q in enumerate(quantities):
+            jac[n_close + i, :-1] = q.gradient(x)[free]
+        jac[n_close + m :, :-1] = phase_dirs[:, free]
 
         step = np.linalg.lstsq(jac, -residual, rcond=settings.svd_cutoff)[0]
-        if not refl:
-            x = x + step[:-1]
-        else:
-            x = x.copy()
-            x[plus] += step[:-1]
+        x = x.copy()
+        x[free] += step[:-1]
         span = span + step[-1]
         T = span * 2 ** len(refl)
         if not np.all(np.isfinite(x)):
@@ -491,19 +481,18 @@ def _floquet_multipliers(mono: np.ndarray) -> np.ndarray:
 def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
     """Solve a list of offsets in ascending order, warm-starting each one.
 
-    ``epsilons`` must be positive and ascending. When the bundle has a
-    reversor at x0, every row is shot in the layout of :func:`_reflections`,
-    chosen once per call: a quarter period, or half a period when the
-    family has no R2. The first offset starts from the line where the
-    oscillation plane meets Fix(R1), scaled as :func:`initial_guess`
-    scales, with T0 = 2 pi / omega, and is rescued as a cold
-    :func:`solve_orbit` is.
-    Without a reversor the first offset is a cold :func:`solve_orbit`. Each
-    later offset starts once from :func:`_predict`: the point and period
-    interpolated through up to the last four converged rows, which with
-    one row is the previous orbit scaled out from the equilibrium by the
-    eps ratio. A repeated offset is solved again from its twin. Failed rows
-    are recorded and skipped; the call raises only when no offset converges.
+    ``epsilons`` must be positive and ascending. Every row is shot in the
+    layout of :func:`_reflections`, chosen once per call: a quarter period,
+    half a period when the family has no R2, or the whole period when the
+    bundle has no reversor at x0. The first offset starts from
+    :func:`_symmetric_guess` on Fix(R1), or from :func:`initial_guess`
+    without a reversor, with T0 = 2 pi / omega, and is rescued as a cold
+    :func:`solve_orbit` is. Each later offset starts once from
+    :func:`_predict`: the point and period interpolated through up to the
+    last four converged rows, which with one row is the previous orbit
+    scaled out from the equilibrium by the eps ratio. A repeated offset is
+    solved again from its twin. Failed rows are recorded and skipped; the
+    call raises only when no offset converges.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -522,12 +511,10 @@ def continue_family(problem: OrbitProblem, epsilons) -> OrbitFamily:
         sub = replace(problem, epsilon=eps)
         try:
             if rows:
-                orbit = _warm_shoot(sub, *_predict(rows, eps, x0, t0), refl)
-            elif not refl:
-                orbit = solve_orbit(sub)
+                orbit = _shoot(sub, *_predict(rows, eps, x0, t0), refl)
             else:
-                seed = _symmetric_guess(sub, refl[-1])
-                orbit = _rescued(sub, lambda: _shoot(sub, seed, t0, t0, refl))
+                seed = _symmetric_guess(sub, refl[-1]) if refl else initial_guess(sub)[0]
+                orbit = _rescued(sub, seed, t0, refl)
         except (OrbitSolveError, EigenplaneDegenerate) as exc:
             failures[eps] = str(exc)
             continue

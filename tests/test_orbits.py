@@ -127,6 +127,30 @@ def test_zero_epsilon_is_rejected(rigid_bundle, rigid_e1):
             pb.solve_orbit(problem)
 
 
+@pytest.mark.parametrize(
+    "x_init",
+    [[1.0, 0.1], [[1.0, 0.1, 0.0]], [math.nan, 0.0, 0.0], [1.0, math.inf, 0.0]],
+    ids=["short", "nested", "nan", "inf"],
+)
+def test_a_malformed_start_is_rejected_before_any_integration(
+    rigid_bundle, rigid_e1, fwm_calls, x_init
+):
+    problem = pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, 0.3)
+    with pytest.raises(ValueError, match="x_init"):
+        pb.solve_orbit(problem, x_init=x_init, T_init=TWO_PI)
+    assert fwm_calls == []
+
+
+def test_cold_solves_keep_the_whole_period_layout_to_the_bit(
+    rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1
+):
+    rigid = pb.solve_orbit(pb.orbit_problem(rigid_bundle, rigid_e1, 1.0, 0.3))
+    assert (rigid.period, rigid.iterations) == (6.759155976896324, 4)
+    slow = pb.solve_orbit(pb.orbit_problem(clebsch_bundle, clebsch_e1, 1.0, 0.05))
+    assert (slow.period, slow.iterations) == (6.291061454980722, 2)
+    assert not rigid.used_fallback and not slow.used_fallback
+
+
 def test_closure_reverifies_at_tighter_tolerance(rigid_family, rigid_bundle):
     _, orbit = rigid_family.rows[0]
     tight = pb.ToleranceSettings().tightened(10.0)
@@ -494,7 +518,7 @@ def test_integrator_failure_is_reported_by_the_solve(rigid_bundle, rigid_e1):
     assert error.last_residual is None
 
 
-# -- reversible half-period shooting --------------------------------------------
+# -- reversors, and the whole and half-period layouts --------------------------
 
 
 def test_builtin_reversors_are_found_exactly(rigid_bundle, rigid_e1, clebsch_bundle, clebsch_e1):
@@ -626,6 +650,11 @@ def test_quarter_period_rows_run_from_fix_r1_to_fix_r2(m1_ladders):
             end, _ = pb.flow_with_monodromy(bundle.field, orbit.point, orbit.period)
             gap = float(np.linalg.norm(end - orbit.point))
             assert abs(orbit.closure_residual - gap) <= tol / 100
+
+
+def test_the_shared_rigid_ladder_keeps_the_quarter_period_layout_to_the_bit(rigid_family):
+    assert rigid_family.periods() == [6.2950013756324985, 6.330876642594598, 6.481161030709803]
+    assert [orbit.iterations for _, orbit in rigid_family.rows] == [2, 2, 3]
 
 
 def test_a_family_with_one_reversor_keeps_the_half_period_layout(
